@@ -182,6 +182,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_attain(args) -> int:
+    if args.r < 2:
+        raise UsageError(f"--r must be at least 2, got {args.r}")
+    if args.tuples < 1:
+        raise UsageError(f"--tuples must be at least 1, got {args.tuples}")
     curve = _curve_from_args(args)
     rows = analyze_curve(curve, [args.r])
     report = rows[0].report

@@ -169,19 +169,6 @@ def _lifted(curve: CurveModel, k: int) -> tuple[FiniteField, tuple[int, ...], tu
     return emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
 
 
-def _affine_solution_count(E: FiniteField, hh, ff, x: int) -> int:
-    fx = poly.evaluate(E, ff, x)
-    if E.p == 2:
-        hx = poly.evaluate(E, hh, x)
-        if hx == 0:
-            return 1  # squaring is bijective
-        c = E.mul(fx, E.inv(E.mul(hx, hx)))
-        return 2 if E.trace_bit(c) == 0 else 0
-    if fx == 0:
-        return 1
-    return 2 if fx in E.nonzero_squares else 0
-
-
 def _infinity_count(curve: CurveModel, E: FiniteField, hh, ff) -> int:
     if curve.is_imaginary:
         return 1
@@ -235,49 +222,12 @@ def curve_points(curve: CurveModel, k: int = 1) -> list[CurvePoint]:
     _check_budget(curve, k)
     E, hh, ff = _lifted(curve, k)
     pts: list[CurvePoint] = []
-
     if curve.is_imaginary:
         pts.append(INFINITY)
-    elif E.p == 2:
-        h3 = poly.coefficient(hh, 3)
-        f6 = poly.coefficient(ff, 6)
-        if h3 == 0:
-            pts.append(CurvePoint(None, E.pow_(f6, E.q // 2)))
-        else:
-            c = E.mul(f6, E.inv(E.mul(h3, h3)))
-            z0 = E.artin_schreier_roots[c]
-            if z0 >= 0:
-                w = E.mul(h3, z0)
-                pts.append(CurvePoint(None, w))
-                pts.append(CurvePoint(None, E.add(w, h3)))
-    else:
-        lead = ff[-1]
-        r = E.square_roots[lead]
-        if r >= 0:
-            pts.append(CurvePoint(None, r))
-            pts.append(CurvePoint(None, E.neg(r)))
-
-    if E.p == 2:
-        for x in E.elements():
-            fx = poly.evaluate(E, ff, x)
-            hx = poly.evaluate(E, hh, x)
-            if hx == 0:
-                pts.append(CurvePoint(x, E.pow_(fx, E.q // 2)))
-            else:
-                c = E.mul(fx, E.inv(E.mul(hx, hx)))
-                z0 = E.artin_schreier_roots[c]
-                if z0 >= 0:
-                    y = E.mul(hx, z0)
-                    pts.append(CurvePoint(x, y))
-                    pts.append(CurvePoint(x, E.add(y, hx)))
-    else:
-        for x in E.elements():
-            fx = poly.evaluate(E, ff, x)
-            if fx == 0:
-                pts.append(CurvePoint(x, 0))
-            else:
-                r = E.square_roots[fx]
-                if r >= 0:
-                    pts.append(CurvePoint(x, r))
-                    pts.append(CurvePoint(x, E.neg(r)))
+    else:  # z^2 + h3 z = f6 on the chart at infinity
+        roots = E.quadratic_roots(poly.coefficient(hh, 3), poly.coefficient(ff, 6))
+        pts.extend(CurvePoint(None, z) for z in roots)
+    for x in E.elements():
+        roots = E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x))
+        pts.extend(CurvePoint(x, y) for y in roots)
     return pts

@@ -416,6 +416,33 @@ class FiniteField:
                 table[s] = y
         return table
 
+    @cached_property
+    def _half(self) -> int:
+        return self.inv(2)
+
+    def quadratic_roots(self, b: int, c: int) -> tuple[int, ...]:
+        """The distinct roots y of y^2 + b*y = c, for any b and c.
+
+        Characteristic 2: y = sqrt(c) when b = 0, else y = b*z with
+        z^2 + z = c/b^2 (trace test).  Odd characteristic: complete the
+        square, (y + b/2)^2 = c + (b/2)^2.
+        """
+        if self.p == 2:
+            if b == 0:
+                return (self.pow_(c, self.q // 2),)  # squaring is bijective
+            z0 = self.artin_schreier_roots[self.mul(c, self.inv(self.mul(b, b)))]
+            if z0 < 0:
+                return ()
+            y = self.mul(b, z0)
+            return (y, self.add(y, b))
+        m = self.mul(b, self._half)
+        r = self.square_roots[self.add(c, self.mul(m, m))]
+        if r < 0:
+            return ()
+        if r == 0:
+            return (self.neg(m),)
+        return (self.sub(r, m), self.sub(self.neg(r), m))
+
 
 @lru_cache(maxsize=None)
 def _cached_field(p: int, a: int, modulus: tuple[int, ...] | None,
@@ -565,6 +592,11 @@ class FieldEmbedding:
 
     def __call__(self, x: int) -> int:
         return self._table[x]
+
+    @cached_property
+    def preimage(self) -> dict[int, int]:
+        """Inverse map on the image: extension encoding -> base encoding."""
+        return {y: x for x, y in enumerate(self._table)}
 
     def map_poly(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         t = self._table

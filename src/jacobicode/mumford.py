@@ -1,11 +1,15 @@
-"""Brute-force Jacobian group oracle for imaginary genus-2 models.
+"""Jacobian group oracle for imaginary genus-2 models.
 
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
 2, deg v < deg u, and u dividing v^2 + h v - f.  The group law is Cantor's
-composition-and-reduction; the whole group is enumerated by scanning all
-candidate (u, v) pairs, and the resulting cardinality is cross-checked
-against the order predicted by the Weil polynomial -- a mismatch raises
-the OrderMismatch tripwire, it can only mean an implementation bug.
+composition-and-reduction.  The whole group is enumerated by solving the
+divisibility condition per u: v must take a root y of y^2 + h(x) y = f(x)
+at each root x of u (Cantor 1987), so the classes come from the points
+over F_q (split u, including a double root lifted to second order) and
+over F_{q^2} (irreducible u, one point per Frobenius pair) in O(q^2) field
+operations.  The resulting cardinality is cross-checked against the order
+predicted by the Weil polynomial -- a mismatch raises the OrderMismatch
+tripwire, it can only mean an implementation bug or a corrupt model.
 
 The curve sits inside its Jacobian through the base point at infinity:
 an affine point (x0, y0) maps to (x - x0, y0) and infinity to the
@@ -19,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import poly
-from .curves import CurveModel, CurvePoint, count_points
+from .curves import CurveModel, CurvePoint, _extension, count_points
 from .errors import (
     BudgetExceededError,
     InvalidDivisorError,
@@ -160,61 +164,104 @@ def in_theta(d: MumfordDivisor) -> bool:
     return len(d.u) <= 2
 
 
+def _line(v0: int, v1: int) -> tuple[int, ...]:
+    """The trimmed coefficient tuple of v = v0 + v1 x."""
+    return (v0, v1) if v1 else ((v0,) if v0 else ())
+
+
+def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
+    """Every (u, v) with u monic, deg v < deg u <= 2 and u | v^2 + h v - f.
+
+    Solved per u from the roots y of y^2 + h(x) y = f(x) at the roots x of
+    u; exact for any model, validated or not.
+    """
+    F = curve.field
+    q = F.q
+    h, f = curve.h, curve.f
+    add, sub, mul, neg, inv = F.add, F.sub, F.mul, F.neg, F.inv
+    solve = F.quadratic_roots
+    out = [IDENTITY]
+
+    # u = x - a: v is a root y over a
+    roots = [solve(poly.evaluate(F, h, a), poly.evaluate(F, f, a)) for a in range(q)]
+    for a, ys in enumerate(roots):
+        for y in ys:
+            out.append(MumfordDivisor((neg(a), 1), _line(y, 0)))
+
+    # u = (x - a)(x - b), a != b: v is the line through (a, y_a) and (b, y_b)
+    for a in range(q):
+        for b in range(a + 1, q):
+            if not roots[a] or not roots[b]:
+                continue
+            u = (mul(a, b), neg(add(a, b)), 1)
+            w = inv(sub(a, b))
+            for ya in roots[a]:
+                for yb in roots[b]:
+                    v1 = mul(sub(ya, yb), w)
+                    out.append(MumfordDivisor(u, _line(sub(ya, mul(v1, a)), v1)))
+
+    # u = (x - a)^2: v = y + v1 (x - a) with (2y + h(a)) v1 = f'(a) - h'(a) y
+    dh, df = poly.derivative(F, h), poly.derivative(F, f)
+    for a, ys in enumerate(roots):
+        if not ys:
+            continue
+        u = (mul(a, a), neg(add(a, a)), 1)
+        ha = poly.evaluate(F, h, a)
+        dha, dfa = poly.evaluate(F, dh, a), poly.evaluate(F, df, a)
+        for y in ys:
+            coef = add(add(y, y), ha)
+            rhs = sub(dfa, mul(dha, y))
+            if coef:
+                lifts = (mul(rhs, inv(coef)),)
+            elif rhs == 0:  # singular point: every slope fits
+                lifts = range(q)
+            else:
+                lifts = ()
+            for v1 in lifts:
+                out.append(MumfordDivisor(u, _line(sub(y, mul(v1, a)), v1)))
+
+    # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q};
+    # v is the F_q-line through (x, y) and (x^q, y^q)
+    emb = _extension(F, 2)
+    E = emb.ext
+    back = emb.preimage
+    hh, ff = emb.map_poly(h), emb.map_poly(f)
+    eadd, esub, emul, epow = E.add, E.sub, E.mul, E.pow_
+    for x in E.elements():
+        xq = epow(x, q)
+        if xq <= x:  # x in F_q, or the conjugate of a root already taken
+            continue
+        u = (back[emul(x, xq)], back[E.neg(eadd(x, xq))], 1)
+        w = E.inv(esub(x, xq))
+        for y in E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x)):
+            v1 = emul(esub(y, epow(y, q)), w)
+            v0 = esub(y, emul(v1, x))
+            out.append(MumfordDivisor(u, _line(back[v0], back[v1])))
+    return out
+
+
 @lru_cache(maxsize=256)
 def enumerate_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
-    """All reduced divisors by direct (u, v) scan, sorted by wire encoding.
+    """All reduced divisors, solved per u, sorted by wire encoding.
 
-    The scan is complete for reduced representatives: a conjugate pair
-    {P, iota(P)} admits no interpolating v, and a doubled Weierstrass point
-    fails the divisibility forced at a double root, so each class shows up
-    exactly once.  The cardinality is checked against the zeta-side order.
+    For monic u of degree <= 2, u | v^2 + h v - f says that v takes a root
+    y of y^2 + h(x) y = f(x) at every root x of u, to second order at a
+    double root.  A squarefree u has its roots in F_q or a Frobenius pair
+    in F_{q^2}, and v is the unique line through the chosen points; at a
+    double root a the slope v1 solves (2y + h(a)) v1 = f'(a) - h'(a) y.
+    Every solution is produced exactly once, so the list equals the
+    exhaustive (u, v) scan.  A conjugate pair {P, iota(P)} admits no
+    interpolating v and a doubled Weierstrass point has no slope, so each
+    class of a smooth model appears once; the cardinality is checked
+    against the zeta-side order.
     """
     _require_imaginary(curve)
     F = curve.field
     q = F.q
     if q > JACOBIAN_Q_CAP:
         raise BudgetExceededError(f"jacobian enumeration capped at q <= {JACOBIAN_Q_CAP}")
-    h, f = curve.h, curve.f
-    add, mul, neg = F.add, F.mul, F.neg
 
-    out = [IDENTITY]
-
-    # degree-1 classes correspond to affine curve points
-    for u0 in range(q):
-        x0 = neg(u0)
-        hx = poly.evaluate(F, h, x0)
-        fx = poly.evaluate(F, f, x0)
-        for v0 in range(q):
-            if add(mul(v0, v0), mul(hx, v0)) == fx:
-                out.append(MumfordDivisor((u0, 1), (v0,) if v0 else ()))
-
-    # degree-2 classes: reduce everything modulo u = x^2 + u1 x + u0 once per u
-    for u1 in range(q):
-        for u0 in range(q):
-            u = (u0, u1, 1)
-            e1 = neg(u1)  # x^2 == e1*x + e0 (mod u)
-            e0 = neg(u0)
-            fr = poly.mod(F, f, u)
-            fr1, fr0 = poly.coefficient(fr, 1), poly.coefficient(fr, 0)
-            hr = poly.mod(F, h, u)
-            hr1, hr0 = poly.coefficient(hr, 1), poly.coefficient(hr, 0)
-            for v1 in range(q):
-                a2 = mul(v1, v1)
-                sq1 = mul(a2, e1)
-                sq0 = mul(a2, e0)
-                hv_hi = mul(hr1, v1)  # x^2 coefficient of h*v
-                base1 = add(add(sq1, mul(hv_hi, e1)), mul(hr0, v1))
-                base0 = add(sq0, mul(hv_hi, e0))
-                for v0 in range(q):
-                    m = mul(v1, v0)
-                    w1 = add(add(base1, add(m, m)), mul(hr1, v0))
-                    if w1 != fr1:
-                        continue
-                    w0 = add(add(base0, mul(v0, v0)), mul(hr0, v0))
-                    if w0 == fr0:
-                        vv = (v0, v1) if v1 else ((v0,) if v0 else ())
-                        out.append(MumfordDivisor(u, vv))
-
+    out = _reduced_divisors(curve)
     out.sort(key=MumfordDivisor.sort_key)
 
     n1 = count_points(curve, 1).count

@@ -16,12 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentCountsError
 from .fields import prime_factors
-
-ROOT_MODULUS_TOL = 1e-9
 
 IntPoly = tuple[int, ...]  # integer coefficients, low degree first
 
@@ -88,17 +84,6 @@ def poly_eval_z(a: IntPoly, x: int) -> int:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def numeric_root_moduli(coeffs_low_first: IntPoly) -> list[float]:
-    """Moduli of the complex roots, double precision (test-side cross-check).
-
-    Only trustworthy for simple roots; repeated roots scatter by far more
-    than 1e-9 under eigenvalue-based root finding, which is why validation
-    itself uses the exact circle criterion below.
-    """
-    roots = np.roots(list(reversed(coeffs_low_first)))
-    return sorted(float(abs(r)) for r in roots)
 
 
 def _nonneg_with_sqrt(a: int, b: int, q: int) -> bool:

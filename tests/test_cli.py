@@ -132,6 +132,14 @@ class TestAttain:
         assert data["bound_respected"] is True  # d_lb <= 0 never constrains
         assert all(not e["attained"] for e in data["experiments"])
 
+    @pytest.mark.parametrize("flag,value", [("--tuples", "0"), ("--r", "1")])
+    def test_bad_counts_are_exit_1(self, flag, value):
+        code, out, err = invoke(["attain", "--q", "2", "--h", "1",
+                                 "--f", "x^5+x^3", flag, value])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSearch:
     def test_exhaustive_f2_csv(self):

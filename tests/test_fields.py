@@ -260,3 +260,21 @@ class TestStructureTables:
                 assert F8.add(F8.mul(z, z), z) == c
             else:
                 assert F8.trace_bit(c) == 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_quadratic_roots_match_brute_force(self, q):
+        F = builtin_field(q)
+        for b in F.elements():
+            for c in F.elements():
+                roots = F.quadratic_roots(b, c)
+                scan = [y for y in F.elements()
+                        if F.add(F.mul(y, y), F.mul(b, y)) == c]
+                assert sorted(roots) == scan
+
+
+class TestPreimage:
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_inverts_the_embedding(self, q):
+        emb = lift_quadratic(builtin_field(q))
+        assert len(emb.preimage) == q
+        assert all(emb.preimage[emb(x)] == x for x in range(q))

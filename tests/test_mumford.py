@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from random import Random
 
 import pytest
 
+from jacobicode import poly
 from jacobicode.curves import INFINITY, CurvePoint, CurveModel, count_points, curve_points, \
     validate_curve
 from jacobicode.errors import (
+    GenusNotTwoError,
     InvalidDivisorError,
     NonZeroSumError,
     OrderMismatchError,
     InconsistentCountsError,
     PointNotOnCurveError,
     RealModelUnsupportedError,
+    SingularModelError,
 )
-from jacobicode.fields import make_field
+from jacobicode.explore import RANDOM, SearchSpace, enumerate_curves
+from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
     MumfordDivisor,
+    _reduced_divisors,
     cantor_add,
     check_divisor,
     embed_point,
@@ -35,6 +42,67 @@ from jacobicode.weil import jacobian_order, weil_from_counts
 
 D_X0 = MumfordDivisor((0, 1), ())     # (x, 0)
 D_X1 = MumfordDivisor((0, 1), (1,))   # (x, 1)
+
+
+def scan_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
+    """Every (u, v) in F_q^4 with u | v^2 + h v - f, sorted: the q^4 oracle."""
+    F = curve.field
+    q = F.q
+    h, f = curve.h, curve.f
+    add, mul, neg = F.add, F.mul, F.neg
+
+    out = [IDENTITY]
+
+    # degree-1 classes correspond to affine curve points
+    for u0 in range(q):
+        x0 = neg(u0)
+        hx = poly.evaluate(F, h, x0)
+        fx = poly.evaluate(F, f, x0)
+        for v0 in range(q):
+            if add(mul(v0, v0), mul(hx, v0)) == fx:
+                out.append(MumfordDivisor((u0, 1), (v0,) if v0 else ()))
+
+    # degree-2 classes: reduce everything modulo u = x^2 + u1 x + u0 once per u
+    for u1 in range(q):
+        for u0 in range(q):
+            u = (u0, u1, 1)
+            e1 = neg(u1)  # x^2 == e1*x + e0 (mod u)
+            e0 = neg(u0)
+            fr = poly.mod(F, f, u)
+            fr1, fr0 = poly.coefficient(fr, 1), poly.coefficient(fr, 0)
+            hr = poly.mod(F, h, u)
+            hr1, hr0 = poly.coefficient(hr, 1), poly.coefficient(hr, 0)
+            for v1 in range(q):
+                a2 = mul(v1, v1)
+                sq1 = mul(a2, e1)
+                sq0 = mul(a2, e0)
+                hv_hi = mul(hr1, v1)  # x^2 coefficient of h*v
+                base1 = add(add(sq1, mul(hv_hi, e1)), mul(hr0, v1))
+                base0 = add(sq0, mul(hv_hi, e0))
+                for v0 in range(q):
+                    m = mul(v1, v0)
+                    w1 = add(add(base1, add(m, m)), mul(hr1, v0))
+                    if w1 != fr1:
+                        continue
+                    w0 = add(add(base0, mul(v0, v0)), mul(hr0, v0))
+                    if w0 == fr0:
+                        vv = (v0, v1) if v1 else ((v0,) if v0 else ())
+                        out.append(MumfordDivisor(u, vv))
+
+    out.sort(key=MumfordDivisor.sort_key)
+    return tuple(out)
+
+
+def solved_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
+    """The library's per-u solution set, sorted, before the order tripwire."""
+    return tuple(sorted(_reduced_divisors(curve), key=MumfordDivisor.sort_key))
+
+
+def seeded_curves(q: int, count: int, seed: int) -> list[CurveModel]:
+    space = SearchSpace(field=field_from_order(q), mode=RANDOM, seed=seed, trials=20 * count)
+    curves = list(itertools.islice(enumerate_curves(space), count))
+    assert len(curves) == count
+    return curves
 
 
 class TestGroupLaw:
@@ -130,11 +198,49 @@ class TestEnumeration:
             enumerate_jacobian(curve)
 
     def test_corrupt_model_trips_loudly(self, f2):
-        # bypass validation: y^2 + xy = x^5 is singular at the origin, so the
-        # (u, v) scan cannot agree with any genus-2 zeta data
+        # bypass validation: y^2 + xy = x^5 is singular at the origin, where
+        # every slope lifts the double root, so the enumeration cannot agree
+        # with any genus-2 zeta data
         bad = CurveModel(field=f2, h=(0, 1), f=(0, 0, 0, 0, 0, 1), kind="imaginary")
         with pytest.raises((OrderMismatchError, InconsistentCountsError)):
             enumerate_jacobian(bad)
+
+
+class TestScanOracle:
+    """The per-u solver against the exhaustive (u, v) scan."""
+
+    def test_every_model_over_f2_and_f3(self, corpus):
+        for q in (2, 3):
+            for curve in corpus[q]:
+                assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
+
+    @pytest.mark.parametrize("q,count", [(4, 6), (5, 6), (7, 4), (8, 4), (9, 4), (16, 2),
+                                         (25, 1), (27, 1), (32, 1)])
+    def test_seeded_valid_models(self, q, count):
+        for curve in seeded_curves(q, count, seed=1000 + q):
+            assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
+
+    def test_unvalidated_models(self, f2):
+        rng = Random(2015)
+        models = [(f2, (0, 1), (0, 0, 0, 0, 0, 1))]  # the corrupt model below
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            F = field_from_order(q)
+            for _ in range(12):
+                h = poly.trim([rng.randrange(q) for _ in range(3)])
+                f = tuple(rng.randrange(q) for _ in range(5)) + (1,)
+                models.append((F, h, f))
+        singular = every_slope = 0
+        for F, h, f in models:
+            try:
+                validate_curve(F, h, f)
+            except (SingularModelError, GenusNotTwoError):
+                singular += 1
+            bad = CurveModel(field=F, h=h, f=f, kind="imaginary")
+            solved = solved_jacobian(bad)
+            assert solved == scan_jacobian(bad)
+            # only a singular point lifts to more than 4 classes over one u
+            every_slope += max(Counter(d.u for d in solved).values()) > 4
+        assert singular >= 10 and every_slope >= 3
 
 
 class TestEmbedding:

@@ -20,7 +20,6 @@ from jacobicode.weil import (
     extension_count,
     factor_weil,
     jacobian_order,
-    numeric_root_moduli,
     poly_divides,
     power_sums,
     quadratic_roots_on_circle,
@@ -28,6 +27,17 @@ from jacobicode.weil import (
     serre_constant,
     weil_from_counts,
 )
+
+
+def numeric_root_moduli(coeffs_low_first) -> list[float]:
+    """Moduli of the complex roots, double precision (cross-check only).
+
+    Only trustworthy for simple roots; repeated roots scatter by far more
+    than 1e-9 under eigenvalue-based root finding, which is why the library
+    uses the exact circle criterion instead.
+    """
+    roots = np.roots(list(reversed(coeffs_low_first)))
+    return sorted(float(abs(r)) for r in roots)
 
 
 class TestSerreConstant:
