@@ -32,6 +32,7 @@ from .fields import (
     field_from_order,
     lift_quadratic,
     make_field,
+    prime_power,
 )
 from .mumford import (
     IDENTITY,
@@ -58,7 +59,6 @@ from .weil import (
     extension_count,
     factor_weil,
     jacobian_order,
-    poly_divides,
     serre_constant,
     weil_from_counts,
 )

@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import (
     BadComponentError,
     BudgetExceededError,
+    InvalidGenusError,
     InvalidRError,
     TraceHypothesisViolatedError,
 )
@@ -39,7 +40,7 @@ def self_intersection_from_genus(pi: int) -> int:
     """Self-intersection 2*pi - 2 of a curve of arithmetic genus pi on an
     abelian surface (trivial canonical divisor)."""
     if pi < 0:
-        raise ValueError("arithmetic genus must be non-negative")
+        raise InvalidGenusError("arithmetic genus must be non-negative")
     return 2 * pi - 2
 
 
@@ -48,7 +49,7 @@ def weil_type_point_bound(q: int, tau: int, pi: int) -> int:
     points of an irreducible curve of arithmetic genus pi on an abelian
     surface of trace term tau; requires tau >= -q."""
     if pi < 1:
-        raise ValueError("arithmetic genus must be at least 1")
+        raise InvalidGenusError("arithmetic genus must be at least 1")
     if tau < -q:
         raise TraceHypothesisViolatedError(f"tau = {tau} is below -q = {-q}")
     return q + 1 + tau + abs(pi - 2) * serre_constant(q)

@@ -37,7 +37,7 @@ from .explore import (
     best_codes,
     csv_row,
 )
-from .fields import field_from_order
+from .fields import field_from_order, prime_power
 from .mumford import enumerate_jacobian, translate_support_count, zero_sum_tuples
 from .polytext import format_poly, parse_poly
 from .selftest import run_selftest
@@ -62,7 +62,8 @@ def _int_list(text: str) -> list[int]:
 def _add_curve_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--curve", help="curve JSON file or inline JSON string")
     sub.add_argument("--q", type=int, help="field size (prime power)")
-    sub.add_argument("--modulus", help="field modulus coefficients, comma separated")
+    sub.add_argument("--modulus", type=_int_list,
+                     help="field modulus coefficients, comma separated")
     sub.add_argument("--h", dest="h_poly", default="0", help="h polynomial (inline syntax)")
     sub.add_argument("--f", dest="f_poly", help="f polynomial (inline syntax)")
 
@@ -74,8 +75,10 @@ def _add_output_args(sub: argparse.ArgumentParser, default_format: str = "json")
 
 def _curve_from_args(args) -> CurveModel:
     if args.curve:
-        path = Path(args.curve)
-        text = path.read_text() if path.exists() else args.curve
+        try:
+            text = Path(args.curve).read_text()
+        except OSError:  # not a readable file: the argument is the JSON itself
+            text = args.curve
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -83,8 +86,7 @@ def _curve_from_args(args) -> CurveModel:
         return CurveModel.from_dict(data)
     if args.q is None or args.f_poly is None:
         raise UsageError("need either --curve or both --q and --f")
-    modulus = _int_list(args.modulus) if args.modulus else None
-    field = field_from_order(args.q, modulus)
+    field = field_from_order(args.q, args.modulus or None)
     h = parse_poly(args.h_poly, field)
     f = parse_poly(args.f_poly, field)
     return validate_curve(field, h, f)
@@ -92,7 +94,10 @@ def _curve_from_args(args) -> CurveModel:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -172,6 +177,7 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    prime_power(args.q)  # NotPrimeError unless q is a prime power
     value = weil_type_point_bound(args.q, args.tau, args.pi)
     if args.format == "json":
         _emit(_dump_json({"schema": SCHEMA, "q": args.q, "tau": args.tau,
@@ -218,8 +224,9 @@ def _cmd_attain(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    modulus = _int_list(args.modulus) if args.modulus else None
-    field = field_from_order(args.q, modulus)
+    if args.top is not None and args.top < 0:
+        raise UsageError(f"--top must be non-negative, got {args.top}")
+    field = field_from_order(args.q, args.modulus or None)
     if args.random:
         if args.seed is None:
             raise UsageError("--random needs --seed")
@@ -286,7 +293,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("search", help="search curves and tabulate code reports")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus")
+    p.add_argument("--modulus", type=_int_list)
     p.add_argument("--kind", choices=("imaginary", "real"), default="imaginary")
     p.add_argument("--r", type=_int_list, default=[3])
     mode = p.add_mutually_exclusive_group()
@@ -295,8 +302,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int)
     p.add_argument("--top", type=int, help="emit only the best N rows")
-    p.add_argument("--parallel", type=int,
-                   default=int(os.environ.get("JACOBICODE_THREADS", "1")))
+    p.add_argument("--parallel", type=int,  # argparse converts a string default
+                   default=os.environ.get("JACOBICODE_THREADS", "1"))
     _add_output_args(p)
     p.set_defaults(func=_cmd_search)
 
@@ -313,6 +320,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits only after printing --help
+        return exc.code
     except JacobicodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

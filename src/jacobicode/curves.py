@@ -26,6 +26,7 @@ from . import poly
 from .errors import (
     BudgetExceededError,
     GenusNotTwoError,
+    MalformedCurveError,
     SingularModelError,
     WrongDegreeError,
 )
@@ -63,7 +64,13 @@ class CurveModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveModel":
-        return validate_curve(FiniteField.from_dict(d["field"]), d["h"], d["f"])
+        try:
+            field = FiniteField.from_dict(d["field"])
+            h, f = list(d["h"]), list(d["f"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedCurveError(
+                f"curve data needs field {{p, a[, modulus]}}, h and f: {exc!r}") from None
+        return validate_curve(field, h, f)
 
     def __repr__(self) -> str:
         return (f"CurveModel(q={self.field.q}, h={poly.to_string(self.h)}, "
@@ -101,8 +108,8 @@ def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> Cu
     h = poly.trim(h)
     f = poly.trim(f)
     q = field.q
-    if any(not 0 <= c < q for c in h) or any(not 0 <= c < q for c in f):
-        raise ValueError("coefficients must be integer encodings below q")
+    if any(not isinstance(c, int) or not 0 <= c < q for c in h + f):
+        raise MalformedCurveError("coefficients must be integer encodings below q")
     df = poly.degree(f)
     if df not in (5, 6):
         raise WrongDegreeError(f"deg f must be 5 or 6, got {df}")

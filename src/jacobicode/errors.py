@@ -2,7 +2,8 @@
 
 Every error carries an ``exit_code`` used by the CLI: 1 for bad input,
 2 for internal tripwires (conditions that can only mean an implementation
-bug, surfaced loudly rather than papered over).
+bug, surfaced loudly rather than papered over).  Errors about malformed
+input values also subclass ``ValueError``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ class GenusNotTwoError(JacobicodeError):
 
 class BudgetExceededError(JacobicodeError):
     """An exhaustive enumeration was asked to exceed its size budget."""
+
+
+class MalformedCurveError(JacobicodeError, ValueError):
+    """Curve data of the wrong shape: missing keys, or coefficients that are
+    not integer encodings of field elements."""
+
+
+class PolySyntaxError(JacobicodeError, ValueError):
+    """Inline polynomial text that does not parse."""
 
 
 # -- Weil data -------------------------------------------------------------
@@ -100,7 +110,15 @@ class InvalidRError(JacobicodeError):
     pass
 
 
+class InvalidGenusError(JacobicodeError, ValueError):
+    pass
+
+
 # -- search ----------------------------------------------------------------
 
 class SpaceTooLargeError(JacobicodeError):
+    pass
+
+
+class InvalidSearchSpaceError(JacobicodeError, ValueError):
     pass

@@ -26,6 +26,7 @@ from .bounds import CodeReport, code_params
 from .curves import IMAGINARY, REAL, CurveModel, count_points, validate_curve
 from .errors import (
     GenusNotTwoError,
+    InvalidSearchSpaceError,
     JacobicodeError,
     SingularModelError,
     SpaceTooLargeError,
@@ -52,11 +53,12 @@ class SearchSpace:
 
     def __post_init__(self):
         if self.kind not in (IMAGINARY, REAL):
-            raise ValueError(f"kind must be {IMAGINARY!r} or {REAL!r}")
+            raise InvalidSearchSpaceError(f"kind must be {IMAGINARY!r} or {REAL!r}")
         if self.mode not in (EXHAUSTIVE, RANDOM):
-            raise ValueError(f"mode must be {EXHAUSTIVE!r} or {RANDOM!r}")
-        if self.mode == RANDOM and (self.seed is None or not self.trials):
-            raise ValueError("random mode needs a seed and a positive trial count")
+            raise InvalidSearchSpaceError(f"mode must be {EXHAUSTIVE!r} or {RANDOM!r}")
+        if self.mode == RANDOM and (self.seed is None or self.trials is None
+                                    or self.trials < 1):
+            raise InvalidSearchSpaceError("random mode needs a seed and a positive trial count")
 
     @property
     def f_degree(self) -> int:

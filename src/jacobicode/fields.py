@@ -365,12 +365,6 @@ class FiniteField:
         mul = self.mul
         return frozenset(mul(x, x) for x in range(1, self.q))
 
-    def is_square(self, x: int) -> bool:
-        """Whether x is a square (0 counts as a square)."""
-        if self.p == 2:
-            return True  # squaring is a bijection in characteristic 2
-        return x == 0 or x in self.nonzero_squares
-
     @cached_property
     def _trace_mask(self) -> int:
         """Bit mask m with trace(x) = popcount(x & m) mod 2; characteristic 2 only."""
@@ -461,19 +455,25 @@ def make_field(p: int, a: int = 1, modulus: Iterable[int] | None = None,
     return _cached_field(p, a, mod, allow_large)
 
 
-def field_from_order(q: int, modulus: Iterable[int] | None = None,
-                     *, allow_large: bool = False) -> FiniteField:
-    """F_q for a prime power q, writing q = p^a with p its smallest prime factor."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, a) with q = p^a; NotPrimeError unless q is a prime power."""
     if q < 2:
         raise NotPrimeError(f"q = {q} is not a prime power")
     p = prime_factors(q)[0]
     a = 0
     n = q
-    while n > 1:
-        if n % p:
-            raise NotPrimeError(f"q = {q} is not a prime power")
+    while n % p == 0:
         n //= p
         a += 1
+    if n != 1:
+        raise NotPrimeError(f"q = {q} is not a prime power")
+    return p, a
+
+
+def field_from_order(q: int, modulus: Iterable[int] | None = None,
+                     *, allow_large: bool = False) -> FiniteField:
+    """F_q for a prime power q = p^a."""
+    p, a = prime_power(q)
     return make_field(p, a, modulus, allow_large=allow_large)
 
 

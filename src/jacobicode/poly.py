@@ -153,10 +153,6 @@ def derivative(F: FiniteField, a: Sequence[int]) -> Poly:
     return trim(fmul(a[i], i % p) for i in range(1, len(a)))
 
 
-def map_coeffs(embedding, a: Sequence[int]) -> Poly:
-    return embedding.map_poly(tuple(a))
-
-
 def to_string(a: Sequence[int], var: str = "x") -> str:
     """Render with caret powers and '+'-separated monomials, high degree first."""
     a = trim(a)

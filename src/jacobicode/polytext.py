@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 
+from .errors import PolySyntaxError
 from .fields import FiniteField
 from .poly import Poly, to_string, trim
 
@@ -26,12 +27,12 @@ def parse_poly(text: str, field: FiniteField) -> Poly:
     """Coefficient tuple (low degree first) from the inline syntax."""
     compact = text.replace(" ", "")
     if not compact:
-        raise ValueError("empty polynomial")
+        raise PolySyntaxError("empty polynomial")
     coeffs: dict[int, int] = {}
     for term in compact.split("+"):
         m = _TERM.match(term)
         if not m:
-            raise ValueError(f"cannot parse monomial {term!r}")
+            raise PolySyntaxError(f"cannot parse monomial {term!r}")
         if m.group("const") is not None:
             power = 0
             c = int(m.group("const"))
@@ -39,7 +40,7 @@ def parse_poly(text: str, field: FiniteField) -> Poly:
             power = int(m.group("exp")) if m.group("exp") else 1
             c = int(m.group("coeff")) if m.group("coeff") else 1
         if not 0 <= c < field.q:
-            raise ValueError(f"coefficient {c} is not an element encoding below {field.q}")
+            raise PolySyntaxError(f"coefficient {c} is not an element encoding below {field.q}")
         coeffs[power] = field.add(coeffs.get(power, 0), c)
     out = [0] * (max(coeffs) + 1)
     for power, c in coeffs.items():

@@ -3,9 +3,9 @@
 The quartic t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2 is recovered exactly from
 (N1, N2); extension counts come back out through Newton's identities, the
 group order is the value at 1, and the factorization over the integers is
-found by a finite search over quadratic factors (constant term dividing
-q^2, middle coefficient bounded by the root modulus) verified by exact
-division.  Simplicity of the Jacobian is decided from the factorization
+read off in closed form from the real quadratic g with f(t) = t^2 g(t + q/t)
+(a perfect-square discriminant of g splits f into two quadratics), then
+checked by multiplying back.  Simplicity of the Jacobian is decided from the factorization
 shape alone; the repeated-quadratic case with middle coefficient divisible
 by the characteristic is deliberately left Unknown.
 """
@@ -16,8 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InconsistentCountsError
-from .fields import prime_factors
+from .errors import InconsistentCountsError, NotPrimeError
+from .fields import prime_power
 
 IntPoly = tuple[int, ...]  # integer coefficients, low degree first
 
@@ -29,17 +29,12 @@ def serre_constant(q: int) -> int:
     return math.isqrt(4 * q)
 
 
-def _char_of_prime_power(q: int) -> int:
-    p = prime_factors(q)[0]
-    n = q
-    while n > 1:
-        if n % p:
-            raise InconsistentCountsError(f"q = {q} is not a prime power")
-        n //= p
-    return p
+def _characteristic(q: int) -> int:
+    try:
+        return prime_power(q)[0]
+    except NotPrimeError as exc:
+        raise InconsistentCountsError(str(exc)) from None
 
-
-# -- exact integer polynomial helpers ----------------------------------------
 
 def poly_mul_z(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
@@ -49,41 +44,6 @@ def poly_mul_z(a: IntPoly, b: IntPoly) -> IntPoly:
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return tuple(out)
-
-
-def poly_divmod_z(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Division with remainder over Z; b must be monic."""
-    if not b or b[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(0, len(rem) - db)
-    while len(rem) > db:
-        c = rem[-1]
-        shift = len(rem) - 1 - db
-        if c:
-            quot[shift] = c
-            for i in range(db):
-                rem[shift + i] -= c * b[i]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quot), tuple(rem)
-
-
-def poly_divides(g: IntPoly, f: IntPoly) -> bool:
-    """Exact divisibility of monic integer polynomials."""
-    if not g or g[-1] != 1 or not f or f[-1] != 1:
-        raise ValueError("both polynomials must be monic with integer coefficients")
-    _, rem = poly_divmod_z(f, g)
-    return not rem
-
-
-def poly_eval_z(a: IntPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _nonneg_with_sqrt(a: int, b: int, q: int) -> bool:
@@ -114,16 +74,6 @@ def quartic_roots_on_circle(q: int, c1: int, c2: int) -> bool:
             and _nonneg_with_sqrt(2 * q + c2, -2 * c1, q))
 
 
-def quadratic_roots_on_circle(q: int, b: int, gamma: int) -> bool:
-    """Exact check that t^2 + b t + gamma has both roots of modulus sqrt(q)."""
-    disc = b * b - 4 * gamma
-    if disc < 0:
-        return gamma == q
-    if disc == 0:
-        return b * b == 4 * q
-    return gamma == -q and b == 0
-
-
 @dataclass(frozen=True)
 class WeilData:
     """Coefficients (q, c1, c2) of t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2.
@@ -139,7 +89,7 @@ class WeilData:
     c2: int
 
     def __post_init__(self):
-        if self.p != _char_of_prime_power(self.q):
+        if self.p != _characteristic(self.q):
             raise InconsistentCountsError(
                 f"p = {self.p} is not the characteristic of q = {self.q}")
         m = serre_constant(self.q)
@@ -162,7 +112,7 @@ def weil_from_counts(q: int, n1: int, n2: int) -> WeilData:
     """Invert N_k = q^k + 1 - (k-th power sum of the Frobenius roots), k = 1, 2."""
     if n1 < 0 or n2 < 0:
         raise InconsistentCountsError("point counts must be non-negative")
-    p = _char_of_prime_power(q)
+    p = _characteristic(q)
     c1 = n1 - (q + 1)
     twice_c2 = (q + 1 - n1) ** 2 - (q * q + 1 - n2)
     if twice_c2 % 2:
@@ -228,72 +178,39 @@ class WeilFactorization:
         return out
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def factor_weil(w: WeilData) -> WeilFactorization:
-    """Complete factorization over the integers by finite search.
+    """Complete factorization over the integers, in closed form.
 
-    Rational roots can only be +-sqrt(q), so linear factors are attempted
-    only for square q.  A monic quadratic factor has constant term dividing
-    q^2 (in fact +-q) and middle coefficient bounded by twice the root
-    modulus; candidates are confirmed by exact division, so the search is
-    exhaustive for monic quartics of this shape.
+    Write f(t) = t^2 g(t + q/t) with g(s) = s^2 + c1 s + (c2 - 2q), whose
+    discriminant is D = c1^2 - 4(c2 - 2q) >= 0.  Every root of f has
+    modulus sqrt(q), so a monic integer quadratic factor is either
+    t^2 - s t + q with g(s) = 0 (a conjugate pair, or a real double root
+    when s = +-2 sqrt(q)), or t^2 - q (the real pair +-sqrt(q)).  Hence:
+
+    * D = r^2: f = (t^2 - s+ t + q)(t^2 - s- t + q), s+- = (-c1 +- r)/2,
+      where a factor with s = +-2 sqrt(q) is the linear square
+      (t -+ sqrt(q))^2 and equal factors merge into one square;
+    * otherwise the roots of g are irrational, so only t^2 - q can divide
+      f, and then its cofactor holds the same roots +-sqrt(q): f is
+      (t^2 - q)^2, which is the case c1 = 0, c2 = -2q (q not a square);
+    * otherwise f is irreducible.
     """
-    f = w.coefficients()
-    q = w.q
-    factors: list[tuple[IntPoly, int]] = []
-
-    s = math.isqrt(q)
-    if s * s == q:
-        for root in (s, -s):
-            lin = (-root, 1)
-            mult = 0
-            while poly_eval_z(f, root) == 0 and len(f) > 1:
-                f, rem = poly_divmod_z(f, lin)
-                assert not rem
-                mult += 1
-            if mult:
-                factors.append((lin, mult))
-
-    deg = len(f) - 1
-    if deg == 2:
-        factors.append((f, 1))
-    elif deg == 4:
-        bound = serre_constant(q) + 1
-        found = None
-        for d in _divisors(q * q):
-            for gamma in (d, -d):
-                for b in range(-bound, bound + 1):
-                    cand = (gamma, b, 1)
-                    if poly_divides(cand, f):
-                        found = cand
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            factors.append((f, 1))
-        else:
-            cofactor, rem = poly_divmod_z(f, found)
-            assert not rem
-            if cofactor == found:
-                factors.append((found, 2))
+    q, c1, c2 = w.q, w.c1, w.c2
+    mult: dict[IntPoly, int] = {}
+    d = c1 * c1 - 4 * (c2 - 2 * q)
+    r = math.isqrt(d)
+    if r * r == d:
+        for s in ((-c1 + r) // 2, (-c1 - r) // 2):
+            if s * s == 4 * q:  # t^2 - s t + q = (t - s/2)^2
+                fac, k = (-(s // 2), 1), 2
             else:
-                factors.append((found, 1))
-                factors.append((cofactor, 1))
-
-    factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
+                fac, k = (q, -s, 1), 1
+            mult[fac] = mult.get(fac, 0) + k
+    elif c1 == 0 and c2 == -2 * q:
+        mult[(-q, 0, 1)] = 2
+    else:
+        mult[w.coefficients()] = 1
+    factors = sorted(mult.items(), key=lambda fm: (len(fm[0]), fm[0]))
     result = WeilFactorization(tuple(factors), _shape_of(factors))
     if result.expand() != w.coefficients():
         raise AssertionError("factorization does not multiply back to the quartic")

@@ -14,7 +14,7 @@ import pytest
 
 from jacobicode.curves import CurveModel, validate_curve
 from jacobicode.explore import SearchSpace, enumerate_curves
-from jacobicode.fields import make_field
+from jacobicode.fields import field_from_order, make_field
 
 CORPUS_SLICE = {2: None, 3: None, 4: 12, 5: 12}
 
@@ -41,20 +41,8 @@ def curve_e2(f2) -> CurveModel:
     return validate_curve(f2, (1,), (0, 0, 0, 1, 0, 1))
 
 
-def field_for(q: int):
-    for p in (2, 3, 5, 7, 11, 13):
-        a = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            a += 1
-        if n == 1:
-            return make_field(p, a)
-    raise ValueError(q)
-
-
 def corpus_for(q: int) -> list[CurveModel]:
-    space = SearchSpace(field=field_for(q))
+    space = SearchSpace(field=field_from_order(q))
     limit = CORPUS_SLICE[q]
     stream = enumerate_curves(space)
     if limit is None:

@@ -27,7 +27,7 @@ from jacobicode.bounds import (
 from jacobicode.cli import run_cli
 from jacobicode.curves import CurveModel, count_points, validate_curve
 from jacobicode.explore import RANDOM, SearchSpace, best_codes, enumerate_curves
-from jacobicode.fields import make_field
+from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
     cantor_add,
@@ -78,12 +78,10 @@ class SweepResult:
 @pytest.fixture(scope="module")
 def exhaustive_sweep() -> SweepResult:
     """Full pipeline over every valid imaginary model for q in {2, 3, 4, 5}."""
-    from conftest import field_for
-
     t0 = time.monotonic()
     records = []
     for q in (2, 3, 4, 5):
-        space = SearchSpace(field=field_for(q))
+        space = SearchSpace(field=field_from_order(q))
         for curve in enumerate_curves(space):
             n1 = count_points(curve, 1).count
             n2 = count_points(curve, 2).count

@@ -7,6 +7,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobicode.cli import run_cli
 from jacobicode.fields import make_field
@@ -76,6 +78,14 @@ class TestAnalyze:
         code, out, _ = invoke(["analyze", "--curve", str(path), "--r", "3"])
         assert code == 0
         assert json.loads(out)["simple"] is False  # E1 splits
+
+    def test_long_inline_json_is_not_taken_for_a_path(self):
+        curve = {"field": {"p": 2, "a": 1, "modulus": [0, 1]},
+                 "h": [1], "f": [0, 0, 0, 1, 0, 1]}
+        text = json.dumps(curve, indent=40)  # longer than a file name may be
+        assert len(text) > 255
+        code, out, _ = invoke(["analyze", "--curve", text])
+        assert code == 0 and json.loads(out)["simple"] is True
 
     def test_singular_input_is_exit_1(self):
         code, _, err = invoke(["analyze", "--q", "2", "--h", "0", "--f", "x^5"])
@@ -166,6 +176,108 @@ class TestSearch:
     def test_usage_error_is_exit_1(self):
         code, _, err = invoke(["search"])  # missing --q
         assert code == 1
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--q", "2", "--f", "x^5+x^3+7"],
+        ["search", "--q", "4", "--random", "--trials", "0", "--seed", "1"],
+        ["bound", "--q", "4", "--tau", "0", "--pi", "0"],
+        ["bound", "--q", "6", "--tau", "0", "--pi", "3"],
+        ["analyze", "--curve", '{"field":{"p":2}}'],
+        ["analyze", "--curve", "[1]"],
+        ["analyze", "--curve", '{"field":{"p":2,"a":1},"h":[0.5],"f":[0,0,0,1,0,1]}'],
+        ["search", "--q", "2", "--modulus", "x"],
+        ["search", "--q", "2", "--top", "-1"],
+        ["selftest", "--q", "6"],
+    ])
+    def test_bad_input_is_one_line_error(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unwritable_output_is_exit_1(self, tmp_path):
+        code, _, err = invoke(["bound", "--q", "2", "--tau", "2", "--pi", "3",
+                               "--output", str(tmp_path / "missing" / "out.txt")])
+        assert code == 1 and err.startswith("error:")
+
+    def test_help_exits_0(self):
+        assert invoke(["bound", "--help"])[0] == 0
+
+
+# argv fuzzing vocabulary: small fields only, so that every run stays cheap
+# ("TMP" is replaced by a scratch directory)
+_CURVES = ["TMP", "TMP/missing.json", "null", "[1]", "{}", "not json",
+           '{"field":{"p":2}}', '{"field":[2,1],"h":[1],"f":[1]}',
+           '{"field":{"p":2,"a":0},"h":[1],"f":[0,0,0,1,0,1]}',
+           '{"field":{"p":"2","a":1},"h":[1],"f":[0,0,0,1,0,1]}',
+           '{"field":{"p":2,"a":1,"modulus":["x"]},"h":[1],"f":[0,0,0,1,0,1]}',
+           '{"field":{"p":2,"a":1},"h":5,"f":[0,0,0,1,0,1]}',
+           '{"field":{"p":2,"a":1},"h":"x","f":[0,0,0,1,0,1]}',
+           '{"field":{"p":2,"a":1},"h":[1],"f":[0,0,0,1,0,1]}',
+           '{"field":{"p":3,"a":1},"h":[],"f":[1,0,0,0,0,1]}']
+_POLYS = ["", "+", "0", "1", "x", "2*x", "x^-1", "x^5", "x^5+x^3", "x^5+x^3+7",
+          "x^5+x+1", "x^5+2*x+1", "x^6+1"]
+_Q = ["-1", "0", "1", "2", "3", "4", "6", "9", "x"]
+_OUT = {"--format": ["json", "csv", "text", "xml"],
+        "--output": ["TMP/out.txt", "TMP/missing/out.txt", "TMP"]}
+_CURVE = {"--curve": _CURVES, "--q": _Q, "--modulus": ["", "x", "0,1", "1,1", "1,1,1"],
+          "--h": _POLYS, "--f": _POLYS}
+_NUM = ["-1", "0", "1", "2", "3", "7", "x"]
+_ARGV_OPTIONS = {
+    "analyze": {**_CURVE, "--r": _NUM + ["3,4", ""], **_OUT},
+    "jacobian": {**_CURVE, "--enumerate": None, "--verify-order": None, **_OUT},
+    "bound": {"--q": _Q + ["1000003"], "--tau": ["-5", "0", "2", "x"], "--pi": _NUM, **_OUT},
+    "attain": {**_CURVE, "--r": _NUM, "--tuples": _NUM, **_OUT},
+    "search": {"--q": ["-1", "0", "2", "3", "6", "x"], "--modulus": ["x", "0,1", "1,1"],
+               "--kind": ["imaginary", "real", "other"], "--r": _NUM + ["3,4"],
+               "--exhaustive": None, "--random": None, "--trials": _NUM, "--seed": _NUM,
+               "--top": _NUM, "--parallel": ["-1", "0", "1"], **_OUT},
+    # a real selftest run takes seconds, so only its argument handling is fuzzed
+    "selftest": {"--q": ["", "-3", "0", "1", "6", "x", "6,3"], "--quiet": None},
+}
+
+
+# valid starting points; options drawn after them override or break them
+_CURVE_BASES = [[], ["--q", "2", "--h", "1", "--f", "x^5+x^3"],
+                ["--q", "4", "--h", "x", "--f", "x^5+2*x+3"], ["--curve", _CURVES[-1]]]
+_ARGV_BASES = {
+    "analyze": _CURVE_BASES,
+    "jacobian": _CURVE_BASES,
+    "bound": [[], ["--q", "2", "--tau", "2", "--pi", "3"]],
+    "attain": _CURVE_BASES,
+    "search": [[], ["--q", "2"], ["--q", "3", "--random", "--seed", "1", "--trials", "20"]],
+    # without --q a selftest run takes seconds over the default fields
+    "selftest": [["--q", q] for q in _ARGV_OPTIONS["selftest"]["--q"]],
+}
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    options = _ARGV_OPTIONS[cmd]
+    argv = [cmd, *draw(st.sampled_from(_ARGV_BASES[cmd]))]
+    for opt in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)):
+        argv.append(opt)
+        if options[opt] is not None:
+            argv.append(draw(st.sampled_from(options[opt])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli_fuzz"))
+
+
+@given(argv=_argvs())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_fuzz_argv_error_contract(scratch_dir, argv):
+    code, _, err = invoke([arg.replace("TMP", scratch_dir) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
 
 
 class TestSelftest:

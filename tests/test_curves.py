@@ -28,7 +28,7 @@ from jacobicode.errors import (
     SingularModelError,
     WrongDegreeError,
 )
-from jacobicode.fields import extend_field, make_field
+from jacobicode.fields import extend_field, field_from_order, make_field
 from jacobicode.weil import serre_constant
 
 
@@ -172,8 +172,7 @@ class TestValidation:
     ])
     def test_validation_matches_bruteforce_singularity_search(
             self, q, f_degree, h_degrees, sample):
-        from conftest import field_for
-        field = field_for(q)
+        field = field_from_order(q)
         census = list(exhaustive_census(field, f_degree, h_degrees))
         if sample is not None:
             census = census[:: max(1, len(census) // sample)]

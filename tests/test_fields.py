@@ -24,6 +24,7 @@ from jacobicode.fields import (
     field_from_order,
     lift_quadratic,
     make_field,
+    prime_power,
 )
 
 BUILTIN_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
@@ -55,6 +56,18 @@ class TestConstruction:
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
             make_field(4, 1)
+
+    @pytest.mark.parametrize("q,pa", [(2, (2, 1)), (9, (3, 2)), (16, (2, 4)),
+                                      (49, (7, 2)), (65537, (65537, 1))])
+    def test_prime_power(self, q, pa):
+        assert prime_power(q) == pa
+
+    @pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100])
+    def test_not_prime_power(self, q):
+        with pytest.raises(NotPrimeError):
+            prime_power(q)
+        with pytest.raises(NotPrimeError):
+            field_from_order(q)
 
     def test_size_cap(self):
         with pytest.raises(FieldTooLargeError):

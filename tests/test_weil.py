@@ -11,18 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobicode.curves import count_points
-from jacobicode.errors import InconsistentCountsError
+from jacobicode.errors import InconsistentCountsError, NotPrimeError
+from jacobicode.fields import prime_power
 from jacobicode.weil import (
     FactorShape,
+    IntPoly,
     Verdict,
     WeilData,
+    WeilFactorization,
+    _shape_of,
     classify_simplicity,
     extension_count,
     factor_weil,
     jacobian_order,
-    poly_divides,
     power_sums,
-    quadratic_roots_on_circle,
     quartic_roots_on_circle,
     serre_constant,
     weil_from_counts,
@@ -38,6 +40,142 @@ def numeric_root_moduli(coeffs_low_first) -> list[float]:
     """
     roots = np.roots(list(reversed(coeffs_low_first)))
     return sorted(float(abs(r)) for r in roots)
+
+
+def quadratic_roots_on_circle(q: int, b: int, gamma: int) -> bool:
+    """Exact check that t^2 + b t + gamma has both roots of modulus sqrt(q)."""
+    disc = b * b - 4 * gamma
+    if disc < 0:
+        return gamma == q
+    if disc == 0:
+        return b * b == 4 * q
+    return gamma == -q and b == 0
+
+
+# -- the trial-division factorization, kept as the oracle of factor_weil -----
+
+def poly_divmod_z(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Division with remainder over Z; b must be monic."""
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(0, len(rem) - db)
+    while len(rem) > db:
+        c = rem[-1]
+        shift = len(rem) - 1 - db
+        if c:
+            quot[shift] = c
+            for i in range(db):
+                rem[shift + i] -= c * b[i]
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def poly_divides(g: IntPoly, f: IntPoly) -> bool:
+    """Exact divisibility of monic integer polynomials."""
+    if not g or g[-1] != 1 or not f or f[-1] != 1:
+        raise ValueError("both polynomials must be monic with integer coefficients")
+    _, rem = poly_divmod_z(f, g)
+    return not rem
+
+
+def poly_eval_z(a: IntPoly, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def factor_weil_search(w: WeilData) -> WeilFactorization:
+    """Complete factorization over the integers by finite search.
+
+    Rational roots can only be +-sqrt(q), so linear factors are attempted
+    only for square q.  A monic quadratic factor has constant term dividing
+    q^2 (in fact +-q) and middle coefficient bounded by twice the root
+    modulus; candidates are confirmed by exact division, so the search is
+    exhaustive for monic quartics of this shape.
+    """
+    f = w.coefficients()
+    q = w.q
+    factors: list[tuple[IntPoly, int]] = []
+
+    s = math.isqrt(q)
+    if s * s == q:
+        for root in (s, -s):
+            lin = (-root, 1)
+            mult = 0
+            while poly_eval_z(f, root) == 0 and len(f) > 1:
+                f, rem = poly_divmod_z(f, lin)
+                assert not rem
+                mult += 1
+            if mult:
+                factors.append((lin, mult))
+
+    deg = len(f) - 1
+    if deg == 2:
+        factors.append((f, 1))
+    elif deg == 4:
+        bound = serre_constant(q) + 1
+        found = None
+        for d in _divisors(q * q):
+            for gamma in (d, -d):
+                for b in range(-bound, bound + 1):
+                    cand = (gamma, b, 1)
+                    if poly_divides(cand, f):
+                        found = cand
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            factors.append((f, 1))
+        else:
+            cofactor, rem = poly_divmod_z(f, found)
+            assert not rem
+            if cofactor == found:
+                factors.append((found, 2))
+            else:
+                factors.append((found, 1))
+                factors.append((cofactor, 1))
+
+    factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    result = WeilFactorization(tuple(factors), _shape_of(factors))
+    if result.expand() != w.coefficients():
+        raise AssertionError("factorization does not multiply back to the quartic")
+    return result
+
+
+def weil_grid(q_max: int):
+    """Every WeilData with q a prime power <= q_max, c1 in [-2m, 2m] and
+    c2 in [-2q, 6q], where m = serre_constant(q)."""
+    for q in range(2, q_max + 1):
+        try:
+            p, _ = prime_power(q)
+        except NotPrimeError:
+            continue
+        m = serre_constant(q)
+        for c1 in range(-2 * m, 2 * m + 1):
+            for c2 in range(-2 * q, 6 * q + 1):
+                try:
+                    yield WeilData(q=q, p=p, c1=c1, c2=c2)
+                except InconsistentCountsError:
+                    continue
 
 
 class TestSerreConstant:
@@ -206,6 +344,12 @@ class TestFactorization:
                             assert all(abs(m - math.sqrt(q)) <= 1e-9 for m in moduli)
                     elif len(f) == 2:
                         assert f[0] * f[0] == q  # root is +-sqrt(q)
+
+    def test_closed_form_equals_search(self):
+        grid = list(weil_grid(32))
+        assert len(grid) == 13962
+        for w in grid:
+            assert factor_weil(w) == factor_weil_search(w), w
 
 
 class TestDivides:
