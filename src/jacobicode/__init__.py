@@ -4,7 +4,6 @@ finite fields, certified by brute-force oracles."""
 from .bounds import (
     Branch,
     CodeReport,
-    Decomposition,
     code_params,
     distance_threshold,
     self_intersection_from_genus,
@@ -24,7 +23,6 @@ from .curves import (
 )
 from .explore import SearchSpace, TableRow, analyze_curve, best_codes, enumerate_curves
 from .fields import (
-    FieldElement,
     FieldEmbedding,
     FiniteField,
     default_modulus,

@@ -87,18 +87,8 @@ def _radical_sum_le(ms: tuple[int, ...], bound: int) -> bool:
         shift += 16
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Components (multiplicity, arithmetic genus) of an effective divisor."""
-
-    components: tuple[tuple[int, int], ...]
-
-
-def within_genus_budget(components: Sequence[tuple[int, int]] | Decomposition,
-                        r: int) -> bool:
+def within_genus_budget(components: Sequence[tuple[int, int]], r: int) -> bool:
     """Exact check of sum(n_i * sqrt(pi_i - 1)) <= r; genera must be >= 2."""
-    if isinstance(components, Decomposition):
-        components = components.components
     ms = []
     for n_i, pi_i in components:
         if n_i < 1 or pi_i < 2:

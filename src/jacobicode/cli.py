@@ -106,27 +106,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _rows_to_csv(rows: Sequence[TableRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(csv_row(row))
-    return buf.getvalue()
-
-
-def _rows_to_text(rows: Sequence[TableRow]) -> str:
-    lines = ["\t".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(str(v) for v in csv_row(row)))
-    return "\n".join(lines) + "\n"
-
-
 def _render_rows(rows: Sequence[TableRow], fmt: str, head: dict) -> str:
-    if fmt == "csv":
-        return _rows_to_csv(rows)
-    if fmt == "text":
-        return _rows_to_text(rows)
+    if fmt in ("csv", "text"):
+        buf = io.StringIO()
+        writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t",
+                            lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(csv_row(row) for row in rows)
+        return buf.getvalue()
     head = dict(head)
     head["schema"] = SCHEMA
     head["rows"] = [row.to_dict() for row in rows]

@@ -27,10 +27,6 @@ class FieldTooLargeError(JacobicodeError):
     pass
 
 
-class SpecMismatchError(JacobicodeError):
-    """Two elements from different field specs were combined."""
-
-
 class DivisionByZeroError(JacobicodeError, ZeroDivisionError):
     pass
 

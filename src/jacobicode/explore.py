@@ -1,26 +1,30 @@
 """Curve search over small fields and best-code table generation.
 
 Spaces are either exhaustive (every coefficient tuple, in ascending
-encoding order) or random (a seeded stream of coefficient draws); each
-candidate goes through validation and, if accepted, the whole pipeline:
-count over F_q and F_{q^2}, Weil data, simplicity, and one code report per
-requested radius.  Tables sort by (certified, distance bound, length)
-descending with a coefficient-encoding tie-break, so output is a pure
-function of the space and seeds: byte-identical across runs and across
-parallelism degrees, since parallel chunks are merged in submission order
-before the canonical sort.
+encoding order) or random (a seeded stream of coefficient draws).  Every
+consumer runs one path: ``_unique`` skips repeated draws, ``_curves``
+decodes and validates each candidate and keeps those of the space's kind,
+and ``analyze_curve`` runs the whole pipeline on each: count over F_q and
+F_{q^2}, Weil data, simplicity, and one code report per requested radius.
+Tables sort by (certified, distance bound, length) descending with a
+coefficient-encoding tie-break, a key that is total over the unique
+(h, f, r) rows, so output is a pure function of the space and seeds:
+byte-identical across runs and across parallelism degrees.
 
 Odd-characteristic spaces only enumerate h = 0: validation folds any h
 into the square term, so other choices of h produce exact duplicates of
-models already in the h = 0 slice.
+models already in the h = 0 slice.  Validation returns every other
+candidate unchanged, so distinct encodings give distinct curves.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import CodeReport, code_params
 from .curves import IMAGINARY, REAL, CurveModel, count_points, validate_curve
@@ -32,7 +36,7 @@ from .errors import (
     SpaceTooLargeError,
     WrongDegreeError,
 )
-from .fields import FiniteField, make_field
+from .fields import FiniteField
 from .weil import SimplicityVerdict, WeilData, classify_simplicity, weil_from_counts
 
 EXHAUSTIVE_CAP = 10 ** 7
@@ -113,22 +117,31 @@ def candidate_encodings(space: SearchSpace) -> Iterator[tuple[int, int]]:
             yield rng.randrange(h_size), rng.randrange(f_size)
 
 
-def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
-    """Validated models of the space, in candidate order, exact-tuple deduped."""
-    seen: set[tuple] = set()
-    for h_enc, f_enc in candidate_encodings(space):
+def _unique(encodings: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The encodings in order, repeated draws skipped."""
+    seen: set[tuple[int, int]] = set()
+    for enc in encodings:
+        if enc not in seen:
+            seen.add(enc)
+            yield enc
+
+
+def _curves(space: SearchSpace, encodings: Iterable[tuple[int, int]]
+            ) -> Iterator[CurveModel]:
+    """The valid models of the space's kind among the encoded candidates."""
+    for h_enc, f_enc in encodings:
         h, f = _decode_candidate(space, h_enc, f_enc)
         try:
             curve = validate_curve(space.field, h, f)
         except (WrongDegreeError, SingularModelError, GenusNotTwoError):
             continue
-        if curve.kind != space.kind:
-            continue  # degree-6 input that normalized down to an imaginary model
-        key = (curve.h, curve.f)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield curve
+        if curve.kind == space.kind:  # a degree-6 input can normalize to imaginary
+            yield curve
+
+
+def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
+    """Validated models of the space, in candidate order, without repeats."""
+    return _curves(space, _unique(candidate_encodings(space)))
 
 
 @dataclass(frozen=True)
@@ -194,53 +207,33 @@ def analyze_curve(curve: CurveModel, r_values: Sequence[int],
     return rows
 
 
-def _analyze_chunk(args: tuple) -> list[TableRow]:
-    """Worker: rebuild the field from primitives, run the pipeline on a chunk."""
-    p, a, modulus, kind, f_degree, r_values, chunk = args
-    field = make_field(p, a, modulus)
-    space = SearchSpace(field=field, kind=kind)  # only used for decoding
-    assert space.f_degree == f_degree
-    rows: list[TableRow] = []
-    for h_enc, f_enc in chunk:
-        h, f = _decode_candidate(space, h_enc, f_enc)
-        try:
-            curve = validate_curve(field, h, f)
-        except (WrongDegreeError, SingularModelError, GenusNotTwoError):
-            continue
-        if curve.kind != kind:
-            continue
-        rows.extend(analyze_curve(curve, r_values))
-    return rows
+def _analyze_chunk(space: SearchSpace, r_values: Sequence[int],
+                   encodings: Iterable[tuple[int, int]]) -> list[TableRow]:
+    """The pipeline over unique candidate encodings; also the pool worker."""
+    return [row for curve in _curves(space, encodings)
+            for row in analyze_curve(curve, r_values)]
 
 
 def best_codes(space: SearchSpace, r_values: Sequence[int],
                parallelism: int = 1) -> list[TableRow]:
-    """Pipeline every valid curve of the space; canonical deterministic table."""
-    r_values = tuple(r_values)
+    """Pipeline every valid curve of the space; canonical deterministic table.
+
+    At most one worker process per CPU is started, whatever ``parallelism``
+    asks for; the table does not depend on either.
+    """
+    r_values = tuple(dict.fromkeys(r_values))
     if any(not 1 <= r <= 6 for r in r_values):
         raise JacobicodeError("radii must lie in 1..6")
-    candidates = list(candidate_encodings(space))
-    if parallelism <= 1:
-        rows = _analyze_chunk((space.field.p, space.field.a, space.field.modulus,
-                               space.kind, space.f_degree, r_values, candidates))
+    encodings = _unique(candidate_encodings(space))
+    workers = min(parallelism, os.cpu_count() or 1)
+    if workers <= 1:
+        rows = _analyze_chunk(space, r_values, encodings)
     else:
-        n_chunks = max(1, min(len(candidates), parallelism * 8))
-        step = (len(candidates) + n_chunks - 1) // n_chunks
+        candidates = list(encodings)
+        step = -(-len(candidates) // (workers * 8))  # never empty: trials >= 1
         chunks = [candidates[i:i + step] for i in range(0, len(candidates), step)]
-        args = [(space.field.p, space.field.a, space.field.modulus,
-                 space.kind, space.f_degree, r_values, chunk) for chunk in chunks]
-        rows = []
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for part in pool.map(_analyze_chunk, args):
-                rows.extend(part)
-    # drop exact duplicates (random draws can repeat a candidate)
-    seen: set[tuple] = set()
-    unique: list[TableRow] = []
-    for row in rows:
-        key = (row.curve.h, row.curve.f, row.report.r)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(row)
-    unique.sort(key=TableRow.sort_key)
-    return unique
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(partial(_analyze_chunk, space, r_values), chunks)
+            rows = [row for part in parts for row in part]
+    rows.sort(key=TableRow.sort_key)
+    return rows

@@ -18,7 +18,6 @@ generated, is checked by trial factor search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -27,7 +26,6 @@ from .errors import (
     FieldTooLargeError,
     NotPrimeError,
     ReducibleModulusError,
-    SpecMismatchError,
 )
 
 SIZE_CAP = 1 << 16
@@ -203,15 +201,6 @@ class FiniteField:
         if len(coeffs) > self.a:
             raise ValueError("too many coefficients")
         return _undigits([c % self.p for c in coeffs], self.p)
-
-    def element(self, x: "int | Sequence[int]") -> "FieldElement":
-        if isinstance(x, int):
-            if not 0 <= x < self.q:
-                raise ValueError(f"encoding {x} out of range for q={self.q}")
-            return FieldElement(self, self.coeffs(x))
-        coeffs = tuple(int(c) % self.p for c in x)
-        coeffs = coeffs + (0,) * (self.a - len(coeffs))
-        return FieldElement(self, coeffs)
 
     def elements(self) -> range:
         return range(self.q)
@@ -477,74 +466,6 @@ def field_from_order(q: int, modulus: Iterable[int] | None = None,
     return make_field(p, a, modulus, allow_large=allow_large)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a FiniteField in reduced coordinate form.
-
-    Equality is coefficient-wise (and requires equal field specs).  The
-    wire form is the integer encoding ``sum(coeffs[i] * p**i)``.
-    """
-
-    field: FiniteField
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.a:
-            raise ValueError("coefficient count must equal the extension degree")
-        if any(not 0 <= c < self.field.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-
-    @property
-    def encoding(self) -> int:
-        return _undigits(self.coeffs, self.field.p)
-
-    def __int__(self) -> int:
-        return self.encoding
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def _peer(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise SpecMismatchError(
-                f"elements of {self.field!r} and {other.field!r} cannot be combined")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        F = self.field
-        return F.element(F.add(self.encoding, other.encoding))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        F = self.field
-        return F.element(F.sub(self.encoding, other.encoding))
-
-    def __neg__(self) -> "FieldElement":
-        F = self.field
-        return F.element(F.neg(self.encoding))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        F = self.field
-        return F.element(F.mul(self.encoding, other.encoding))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._peer(other)
-        F = self.field
-        return F.element(F.mul(self.encoding, F.inv(other.encoding)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        F = self.field
-        return F.element(F.pow_(self.encoding, e))
-
-    def inverse(self) -> "FieldElement":
-        F = self.field
-        return F.element(F.inv(self.encoding))
-
-    def __repr__(self) -> str:
-        return f"FieldElement(q={self.field.q}, enc={self.encoding})"
-
-
 class FieldEmbedding:
     """Ring embedding of F_{p^a} into F_{p^(a*k)}, fixing the prime field.
 
@@ -601,11 +522,6 @@ class FieldEmbedding:
     def map_poly(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         t = self._table
         return tuple(t[c] for c in coeffs)
-
-    def element(self, e: FieldElement) -> FieldElement:
-        if e.field != self.base:
-            raise SpecMismatchError("element does not belong to the base field")
-        return self.ext.element(self._table[e.encoding])
 
 
 @lru_cache(maxsize=None)

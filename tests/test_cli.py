@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -168,6 +169,18 @@ class TestSearch:
         assert p1.read_bytes() == p2.read_bytes()
         data = json.loads(p1.read_text())
         assert data["seed"] == 5 and data["trials"] == 64
+
+    # A change that alters search output on purpose re-records these digests.
+    @pytest.mark.parametrize("argv,digest", [
+        ("--q 2 --r 1,2,3,3 --random --trials 2000 --seed 1", "97ca78bf211c7c75"),
+        ("--q 3 --r 3 --format csv", "2c54594c793e5fe8"),
+        ("--q 2 --r 3,4 --random --trials 3000 --seed 5 --parallel 2 --format text",
+         "1ecc12e34116baa6"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, argv, digest):
+        path = tmp_path / "table"
+        assert run_cli(["search", *argv.split(), "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
     def test_random_needs_seed(self):
         code, _, err = invoke(["search", "--q", "2", "--random", "--trials", "5"])

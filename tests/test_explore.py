@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from jacobicode import explore
 from jacobicode.curves import validate_curve
 from jacobicode.errors import SpaceTooLargeError
 from jacobicode.explore import (
     EXHAUSTIVE,
     RANDOM,
     SearchSpace,
+    TableRow,
+    analyze_curve,
     best_codes,
     csv_row,
     enumerate_curves,
@@ -95,3 +100,37 @@ class TestBestCodes:
 
     def test_empty_radius_list(self, f2):
         assert best_codes(SearchSpace(field=f2), []) == []
+
+    def test_repeated_draws_and_radii_give_one_table(self, f2):
+        # 256 candidates, 2000 draws: almost every candidate repeats
+        space = SearchSpace(field=f2, mode=RANDOM, seed=1, trials=2000)
+        serial = best_codes(space, [1, 2, 3, 3], parallelism=1)
+        assert best_codes(space, [1, 2, 3, 3], parallelism=2) == serial
+        expected = [row for curve in enumerate_curves(space)
+                    for row in analyze_curve(curve, [1, 2, 3])]
+        assert serial == sorted(expected, key=TableRow.sort_key)
+        keys = [(row.curve.h, row.curve.f, row.report.r) for row in serial]
+        assert len(keys) == len(set(keys))
+
+    def test_worker_count_is_capped_at_cpu_count(self, f2, monkeypatch):
+        class InProcessPool:
+            started: list[int] = []
+
+            def __init__(self, max_workers):
+                self.started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(explore, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        space = SearchSpace(field=f2)
+        capped = best_codes(space, [3], parallelism=100000)
+        assert InProcessPool.started == [2]
+        assert capped == best_codes(space, [3], parallelism=1)

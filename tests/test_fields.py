@@ -6,18 +6,14 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from jacobicode.errors import (
     DivisionByZeroError,
     FieldTooLargeError,
     NotPrimeError,
     ReducibleModulusError,
-    SpecMismatchError,
 )
 from jacobicode.fields import (
-    FieldElement,
     FiniteField,
     default_modulus,
     extend_field,
@@ -158,46 +154,6 @@ class TestArithmetic:
             for e in range(7):
                 assert f4.pow_(x, e) == acc
                 acc = f4.mul(acc, x)
-
-
-class TestElements:
-    def test_operator_surface(self, f4):
-        w = f4.element(2)
-        one = f4.element(1)
-        assert (w * w).encoding == 3
-        assert (w + one).encoding == 3
-        assert (w / w) == one
-        assert (-w) == w  # characteristic 2
-        assert w.inverse().encoding == 3
-        assert (w ** 3) == one
-        assert int(w) == 2
-
-    def test_coefficient_equality_and_spec_mismatch(self, f4):
-        w = f4.element(2)
-        assert w == f4.element((0, 1))
-        other = make_field(2, 2, (1, 1, 1))
-        assert w == other.element(2)  # same spec, cached or not
-        f9 = make_field(3, 2)
-        with pytest.raises(SpecMismatchError):
-            _ = w * f9.element(2)
-
-    def test_invalid_coefficients_rejected(self, f4):
-        with pytest.raises(ValueError):
-            FieldElement(f4, (2, 0))
-        with pytest.raises(ValueError):
-            FieldElement(f4, (1,))
-
-    @given(st.sampled_from([3, 5, 7, 9, 25, 27]), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_element_algebra_random(self, q, data):
-        F = builtin_field(q)
-        x = F.element(data.draw(st.integers(0, q - 1)))
-        y = F.element(data.draw(st.integers(0, q - 1)))
-        z = F.element(data.draw(st.integers(0, q - 1)))
-        assert (x + y) * z == x * z + y * z
-        assert x - x == F.element(0)
-        if int(y):
-            assert (x / y) * y == x
 
 
 class TestEmbeddings:
