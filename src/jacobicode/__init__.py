@@ -6,11 +6,8 @@ from .bounds import (
     CodeReport,
     code_params,
     distance_threshold,
-    self_intersection_from_genus,
     support_bound,
-    support_bound_bruteforce,
     weil_type_point_bound,
-    within_genus_budget,
 )
 from .curves import (
     INFINITY,
@@ -38,7 +35,6 @@ from .mumford import (
     TranslateExperiment,
     cantor_add,
     check_divisor,
-    embed_point,
     enumerate_jacobian,
     in_theta,
     negate,

@@ -3,15 +3,10 @@
 Given the Weil data of a genus-2 Jacobian and a translate multiple r, the
 evaluation code on the surface has length the group order, dimension r^2
 (claimed only while the distance bound is positive), and minimum distance
-at least n - max{N1 + (r^2-1)m, r N1} with m = [2 sqrt(q)].  The same
-maximum is recomputed here by an independent exhaustive search over
-component decompositions (integer genera under the exact radical budget),
-which is the oracle the closed form is tested against.
-
-All radical comparisons are exact: perfect-square parts are summed as
-integers and the leftover irrational sum is compared to the remaining
-integer budget by scaled-isqrt interval refinement, which terminates
-because a nonempty sum of irrational square roots is never an integer.
+at least n - max{N1 + (r^2-1)m, r N1} with m = [2 sqrt(q)].  That
+maximum over the ways a curve can split into components is computed in
+closed form; the exhaustive search over component decompositions that it
+is tested against lives in the tests.
 """
 
 from __future__ import annotations
@@ -19,29 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
-from typing import Sequence
 
-from .errors import (
-    BadComponentError,
-    BudgetExceededError,
-    InvalidGenusError,
-    InvalidRError,
-    TraceHypothesisViolatedError,
-)
+from .errors import InvalidGenusError, InvalidRError, TraceHypothesisViolatedError
 from .weil import SimplicityVerdict, Verdict, WeilData, classify_simplicity, \
     jacobian_order, serre_constant
-
-BRUTEFORCE_R_CAP = 6
-
-
-def self_intersection_from_genus(pi: int) -> int:
-    """Self-intersection 2*pi - 2 of a curve of arithmetic genus pi on an
-    abelian surface (trivial canonical divisor)."""
-    if pi < 0:
-        raise InvalidGenusError("arithmetic genus must be non-negative")
-    return 2 * pi - 2
 
 
 def weil_type_point_bound(q: int, tau: int, pi: int) -> int:
@@ -53,84 +29,6 @@ def weil_type_point_bound(q: int, tau: int, pi: int) -> int:
     if tau < -q:
         raise TraceHypothesisViolatedError(f"tau = {tau} is below -q = {-q}")
     return q + 1 + tau + abs(pi - 2) * serre_constant(q)
-
-
-@lru_cache(maxsize=None)
-def _radical_sum_le(ms: tuple[int, ...], bound: int) -> bool:
-    """Exact test sum(sqrt(m) for m in ms) <= bound for non-negative ints."""
-    rational = 0
-    irrational: list[int] = []
-    for m in ms:
-        s = isqrt(m)
-        if s * s == m:
-            rational += s
-        else:
-            irrational.append(m)
-    if not irrational:
-        return rational <= bound
-    rem = bound - rational
-    if rem <= 0:
-        return False
-    shift = 8
-    while True:
-        lower = 0
-        upper = 0
-        for m in irrational:
-            s = isqrt(m << (2 * shift))
-            lower += s
-            upper += s + 1
-        target = rem << shift
-        if upper <= target:
-            return True
-        if lower >= target:
-            return False  # strict: the sum is irrational, never equal to rem
-        shift += 16
-
-
-def within_genus_budget(components: Sequence[tuple[int, int]], r: int) -> bool:
-    """Exact check of sum(n_i * sqrt(pi_i - 1)) <= r; genera must be >= 2."""
-    ms = []
-    for n_i, pi_i in components:
-        if n_i < 1 or pi_i < 2:
-            raise BadComponentError(
-                f"component (n={n_i}, pi={pi_i}) needs n >= 1 and pi >= 2")
-        ms.append(n_i * n_i * (pi_i - 1))  # n*sqrt(m) == sqrt(n^2 m)
-    return _radical_sum_le(tuple(sorted(ms)), r)
-
-
-@lru_cache(maxsize=None)
-def _max_genus_total(r: int, k: int) -> int:
-    """Largest sum of k integer genera >= 2 whose radical budget fits r."""
-    best = 0
-
-    def rec(slots: int, cap: int, ms: tuple[int, ...], total: int) -> None:
-        nonlocal best
-        if slots == 0:
-            best = max(best, total)
-            return
-        for pi in range(cap, 1, -1):
-            trial = ms + (pi - 1,) + (1,) * (slots - 1)  # pad remaining at genus 2
-            if _radical_sum_le(tuple(sorted(trial)), r):
-                rec(slots - 1, pi, ms + (pi - 1,), total + pi)
-
-    rec(k, r * r + 1, (), 0)
-    return best
-
-
-def support_bound_bruteforce(q: int, n1: int, r: int) -> int:
-    """Exhaustive maximum of k*(N1 - 2m) + m*sum(pi_i) over all component
-    counts k <= r and integer genera pi_i >= 2 within the radical budget.
-
-    Multiplicities are fixed at 1: raising one only shrinks the feasible
-    genus set without changing the objective.  This is the independent
-    oracle for the closed-form support bound.
-    """
-    if r < 1:
-        raise InvalidRError("need r >= 1")
-    if r > BRUTEFORCE_R_CAP:
-        raise BudgetExceededError(f"brute-force search capped at r <= {BRUTEFORCE_R_CAP}")
-    m = serre_constant(q)
-    return max(k * (n1 - 2 * m) + m * _max_genus_total(r, k) for k in range(1, r + 1))
 
 
 def support_bound(q: int, n1: int, r: int) -> int:

@@ -2,9 +2,9 @@
 
 Subcommands: analyze (single-curve code report), jacobian (group order and
 optional enumeration), bound (point bound calculator), attain (translate
-support experiments), search (curve search and code tables), selftest
-(built-in invariant suites).  Exit codes: 0 success, 1 input or usage
-error, 2 internal tripwire (e.g. an order mismatch).
+support experiments) and search (curve search and code tables).  Exit
+codes: 0 success, 1 input or usage error, 2 internal tripwire (an order
+mismatch).
 
 Curves are given either as a JSON file/string ({"field": {...}, "h": [...],
 "f": [...]}) or inline via --q/--h/--f with caret-power polynomial syntax
@@ -39,11 +39,11 @@ from .explore import (
 )
 from .fields import field_from_order, prime_power
 from .mumford import enumerate_jacobian, translate_support_count, zero_sum_tuples
-from .polytext import format_poly, parse_poly
-from .selftest import run_selftest
+from .polytext import parse_poly
 from .weil import jacobian_order, weil_from_counts
 
 SCHEMA = "1"
+BOUND_Q_CAP = 1 << 40  # keeps the prime-power check's trial division below 2^20
 
 
 class UsageError(JacobicodeError):
@@ -164,6 +164,8 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.q > BOUND_Q_CAP:
+        raise UsageError(f"--q must be at most 2^40, got {args.q}")
     prime_power(args.q)  # NotPrimeError unless q is a prime power
     value = weil_type_point_bound(args.q, args.tau, args.pi)
     if args.format == "json":
@@ -236,15 +238,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    failures = run_selftest(tuple(args.q), verbose=not args.quiet)
-    if failures:
-        for msg in failures:
-            print(msg, file=sys.stderr)
-        return 2
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="jacobicode", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -293,11 +286,6 @@ def build_parser() -> _Parser:
                    default=os.environ.get("JACOBICODE_THREADS", "1"))
     _add_output_args(p)
     p.set_defaults(func=_cmd_search)
-
-    p = subs.add_parser("selftest", help="run the built-in invariant suites")
-    p.add_argument("--q", type=_int_list, default=[2, 3, 4, 5])
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

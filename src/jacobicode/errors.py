@@ -74,10 +74,6 @@ class RealModelUnsupportedError(JacobicodeError):
     pass
 
 
-class PointNotOnCurveError(JacobicodeError):
-    pass
-
-
 class NonZeroSumError(JacobicodeError):
     pass
 
@@ -95,10 +91,6 @@ class OrderMismatchError(JacobicodeError):
 # -- code-parameter calculators --------------------------------------------
 
 class TraceHypothesisViolatedError(JacobicodeError):
-    pass
-
-
-class BadComponentError(JacobicodeError):
     pass
 
 

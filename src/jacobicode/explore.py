@@ -2,7 +2,7 @@
 
 Spaces are either exhaustive (every coefficient tuple, in ascending
 encoding order) or random (a seeded stream of coefficient draws).  Every
-consumer runs one path: ``_unique`` skips repeated draws, ``_curves``
+consumer runs one path: ``_unique`` skips repeated random draws, ``_curves``
 decodes and validates each candidate and keeps those of the space's kind,
 and ``analyze_curve`` runs the whole pipeline on each: count over F_q and
 F_{q^2}, Weil data, simplicity, and one code report per requested radius.
@@ -117,8 +117,15 @@ def candidate_encodings(space: SearchSpace) -> Iterator[tuple[int, int]]:
             yield rng.randrange(h_size), rng.randrange(f_size)
 
 
-def _unique(encodings: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """The encodings in order, repeated draws skipped."""
+def _unique(space: SearchSpace) -> Iterator[tuple[int, int]]:
+    """The candidate encodings in order, repeated draws skipped.
+
+    Only random draws can repeat, so an exhaustive stream keeps no seen-set.
+    """
+    encodings = candidate_encodings(space)
+    if space.mode == EXHAUSTIVE:
+        yield from encodings
+        return
     seen: set[tuple[int, int]] = set()
     for enc in encodings:
         if enc not in seen:
@@ -141,7 +148,7 @@ def _curves(space: SearchSpace, encodings: Iterable[tuple[int, int]]
 
 def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
     """Validated models of the space, in candidate order, without repeats."""
-    return _curves(space, _unique(candidate_encodings(space)))
+    return _curves(space, _unique(space))
 
 
 @dataclass(frozen=True)
@@ -224,7 +231,7 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     r_values = tuple(dict.fromkeys(r_values))
     if any(not 1 <= r <= 6 for r in r_values):
         raise JacobicodeError("radii must lie in 1..6")
-    encodings = _unique(candidate_encodings(space))
+    encodings = _unique(space)
     workers = min(parallelism, os.cpu_count() or 1)
     if workers <= 1:
         rows = _analyze_chunk(space, r_values, encodings)

@@ -145,14 +145,17 @@ class FiniteField:
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
                  *, allow_large: bool = False):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NotPrimeError(f"p = {p} is not prime")
         if not isinstance(a, int) or a < 1:
             raise ValueError(f"extension degree must be a positive integer, got {a}")
-        q = p ** a
-        if q > SIZE_CAP and not allow_large:
+        # p^a >= 2^a, so the cap is checked without computing a huge power
+        if not allow_large and (a >= SIZE_CAP.bit_length() or p ** a > SIZE_CAP):
             raise FieldTooLargeError(
-                f"q = {q} exceeds the default cap {SIZE_CAP}; pass allow_large=True")
+                f"q = {p}^{a} exceeds the default cap {SIZE_CAP}; pass allow_large=True")
+        if not is_prime(p):
+            raise NotPrimeError(f"p = {p} is not prime")
+        q = p ** a
         if modulus is None:
             modulus = default_modulus(p, a)
         else:
@@ -196,11 +199,6 @@ class FiniteField:
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return _digits(x, self.p, self.a)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.a:
-            raise ValueError("too many coefficients")
-        return _undigits([c % self.p for c in coeffs], self.p)
 
     def elements(self) -> range:
         return range(self.q)
@@ -462,6 +460,9 @@ def prime_power(q: int) -> tuple[int, int]:
 def field_from_order(q: int, modulus: Iterable[int] | None = None,
                      *, allow_large: bool = False) -> FiniteField:
     """F_q for a prime power q = p^a."""
+    if q > SIZE_CAP and not allow_large:
+        raise FieldTooLargeError(
+            f"q = {q} exceeds the default cap {SIZE_CAP}; pass allow_large=True")
     p, a = prime_power(q)
     return make_field(p, a, modulus, allow_large=allow_large)
 

@@ -23,13 +23,12 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import poly
-from .curves import CurveModel, CurvePoint, _extension, count_points
+from .curves import CurveModel, _extension, count_points
 from .errors import (
     BudgetExceededError,
     InvalidDivisorError,
     NonZeroSumError,
     OrderMismatchError,
-    PointNotOnCurveError,
     RealModelUnsupportedError,
 )
 from .weil import jacobian_order, weil_from_counts
@@ -53,10 +52,6 @@ class MumfordDivisor:
 
     def to_dict(self) -> dict:
         return {"u": list(self.u), "v": list(self.v)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MumfordDivisor":
-        return cls(tuple(d["u"]), tuple(d["v"]))
 
 
 IDENTITY = MumfordDivisor((1,), ())
@@ -142,21 +137,6 @@ def scalar_mul(curve: CurveModel, n: int, d: MumfordDivisor) -> MumfordDivisor:
         if n:
             base = cantor_add(curve, base, base)
     return acc
-
-
-def embed_point(curve: CurveModel, pt: CurvePoint) -> MumfordDivisor:
-    """Curve point to divisor class with base point infinity; injective."""
-    _require_imaginary(curve)
-    if pt.at_infinity:
-        return IDENTITY
-    F = curve.field
-    x, y = pt.x, pt.y
-    if not (0 <= x < F.q and 0 <= y < F.q):
-        raise PointNotOnCurveError(f"({x}, {y}) is not over F_{F.q}")
-    lhs = F.add(F.mul(y, y), F.mul(poly.evaluate(F, curve.h, x), y))
-    if lhs != poly.evaluate(F, curve.f, x):
-        raise PointNotOnCurveError(f"({x}, {y}) does not satisfy the curve equation")
-    return MumfordDivisor((F.neg(x), 1), (y,) if y else ())
 
 
 def in_theta(d: MumfordDivisor) -> bool:

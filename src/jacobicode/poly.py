@@ -29,10 +29,6 @@ def is_monic(a: Sequence[int]) -> bool:
     return bool(a) and a[-1] == 1
 
 
-def constant(F: FiniteField, value: int) -> Poly:
-    return (value,) if value else ()
-
-
 def coefficient(a: Sequence[int], i: int) -> int:
     return a[i] if i < len(a) else 0
 

@@ -21,7 +21,6 @@ from jacobicode.bounds import (
     code_params,
     distance_threshold,
     support_bound,
-    support_bound_bruteforce,
     weil_type_point_bound,
 )
 from jacobicode.cli import run_cli
@@ -48,6 +47,8 @@ from jacobicode.weil import (
     serre_constant,
     weil_from_counts,
 )
+
+from test_bounds import support_bound_bruteforce
 
 # documented search configuration for the F_16 regime demonstration:
 # seed 2024 finds an N1 = 33 model within the first 5000 draws

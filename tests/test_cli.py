@@ -202,7 +202,12 @@ class TestErrorContract:
         ["analyze", "--curve", '{"field":{"p":2,"a":1},"h":[0.5],"f":[0,0,0,1,0,1]}'],
         ["search", "--q", "2", "--modulus", "x"],
         ["search", "--q", "2", "--top", "-1"],
-        ["selftest", "--q", "6"],
+        ["selftest"],
+        ["bound", "--q", "1000000000000000003", "--tau", "0", "--pi", "3"],
+        ["analyze", "--q", "1000000000000000003", "--h", "1", "--f", "x^5"],
+        ["analyze", "--curve",
+         '{"field":{"p":1000000000000000003,"a":1},"h":[1],"f":[0,0,0,1,0,1]}'],
+        ["analyze", "--curve", '{"field":{"p":2,"a":100000000000},"h":[1],"f":[0,0,0,1,0,1]}'],
     ])
     def test_bad_input_is_one_line_error(self, argv):
         code, out, err = invoke(argv)
@@ -247,8 +252,6 @@ _ARGV_OPTIONS = {
                "--kind": ["imaginary", "real", "other"], "--r": _NUM + ["3,4"],
                "--exhaustive": None, "--random": None, "--trials": _NUM, "--seed": _NUM,
                "--top": _NUM, "--parallel": ["-1", "0", "1"], **_OUT},
-    # a real selftest run takes seconds, so only its argument handling is fuzzed
-    "selftest": {"--q": ["", "-3", "0", "1", "6", "x", "6,3"], "--quiet": None},
 }
 
 
@@ -261,8 +264,6 @@ _ARGV_BASES = {
     "bound": [[], ["--q", "2", "--tau", "2", "--pi", "3"]],
     "attain": _CURVE_BASES,
     "search": [[], ["--q", "2"], ["--q", "3", "--random", "--seed", "1", "--trials", "20"]],
-    # without --q a selftest run takes seconds over the default fields
-    "selftest": [["--q", q] for q in _ARGV_OPTIONS["selftest"]["--q"]],
 }
 
 
@@ -291,10 +292,3 @@ def test_fuzz_argv_error_contract(scratch_dir, argv):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error:")
-
-
-class TestSelftest:
-    def test_small_run(self):
-        code, out, _ = invoke(["selftest", "--q", "2"])
-        assert code == 0
-        assert "selftest q=2" in out
