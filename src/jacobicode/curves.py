@@ -13,7 +13,11 @@ smoothness criterion applies per characteristic:
 Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
 read off the quadratic in y (square test in odd characteristic, trace test
 in characteristic 2), with the points at infinity of the smooth model added
-per model kind.
+per model kind.  Over F_{q^2} the count visits one x per Frobenius pair
+{x, x^q} outside F_q, which has as many points above it as its conjugate,
+and reads the points above F_q off the discriminant: each a in F_q gives
+two, or one where the discriminant vanishes, since every quadratic over
+F_q splits over F_{q^2}.
 """
 
 from __future__ import annotations
@@ -193,6 +197,8 @@ def _infinity_count(curve: CurveModel, E: FiniteField, hh, ff) -> int:
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     """Exhaustive number of points of the smooth model over F_{q^k}."""
     _check_budget(curve, k)
+    if k == 2:
+        return PointCount(2, _count_quadratic(curve))
     E, hh, ff = _lifted(curve, k)
     total = _infinity_count(curve, E, hh, ff)
     if E.p == 2:
@@ -222,6 +228,55 @@ def count_points(curve: CurveModel, k: int = 1) -> PointCount:
             elif fx in squares:
                 total += 2
     return PointCount(k, total)
+
+
+def _count_quadratic(curve: CurveModel) -> int:
+    """N2 from one x per Frobenius pair of F_{q^2} outside F_q.
+
+    Over F_{q^2} every a in F_q gives two points, or one where the
+    discriminant of y^2 + h(a)y = f(a) vanishes (h(a) = 0 in characteristic
+    2, f(a) = 0 otherwise); x and x^q give the same number of points.
+    h and f are evaluated by Horner on the discrete-log tables of F_{q^2}.
+    """
+    F, q = curve.field, curve.field.q
+    emb = _extension(F, 2)
+    E = emb.ext
+    hh, ff = emb.map_poly(curve.h), emb.map_poly(curve.f)
+    log, exp2, n = E.log, E.exp2, E.q - 1
+    f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term
+    pairs = 0
+    if E.p == 2:
+        disc = curve.h
+        h_lead, h_rest = hh[-1], hh[-2::-1]
+        mask = E._trace_mask
+        for x in emb.frobenius_pairs:
+            lx = log[x]
+            hx = h_lead
+            for c in h_rest:
+                hx = (exp2[log[hx] + lx] ^ c) if hx else c
+            if hx == 0:  # y^2 = f(x): squaring is bijective
+                pairs += 1
+                continue
+            fx = f_lead
+            for c in f_rest:
+                fx = (exp2[log[fx] + lx] ^ c) if fx else c
+            # two roots iff trace(f(x) / h(x)^2) = 0
+            if fx == 0 or (exp2[(log[fx] - 2 * log[hx]) % n] & mask).bit_count() & 1 == 0:
+                pairs += 2
+    else:
+        disc = curve.f
+        add = E.add
+        for x in emb.frobenius_pairs:
+            lx = log[x]
+            fx = f_lead
+            for c in f_rest:
+                fx = add(exp2[log[fx] + lx], c) if fx else c
+            if fx == 0:
+                pairs += 1
+            elif log[fx] & 1 == 0:  # even power of the generator: a square
+                pairs += 2
+    base = 2 * q - sum(1 for a in range(q) if poly.evaluate(F, disc, a) == 0)
+    return _infinity_count(curve, E, hh, ff) + base + 2 * pairs
 
 
 def curve_points(curve: CurveModel, k: int = 1) -> list[CurvePoint]:

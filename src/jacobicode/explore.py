@@ -20,9 +20,10 @@ candidate unchanged, so distinct encodings give distinct curves.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,8 @@ from .fields import FiniteField
 from .weil import SimplicityVerdict, WeilData, classify_simplicity, weil_from_counts
 
 EXHAUSTIVE_CAP = 10 ** 7
+CHUNK_SIZE = 256  # candidates per pool task
+CHUNKS_PER_WORKER = 2  # pool tasks in flight per worker
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -226,7 +229,10 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     """Pipeline every valid curve of the space; canonical deterministic table.
 
     At most one worker process per CPU is started, whatever ``parallelism``
-    asks for; the table does not depend on either.
+    asks for; the table does not depend on either.  The pool gets the
+    candidates in chunks of ``CHUNK_SIZE`` as the stream yields them, with
+    at most ``CHUNKS_PER_WORKER`` chunks per worker in flight, so the
+    candidates held at once do not grow with the size of the space.
     """
     r_values = tuple(dict.fromkeys(r_values))
     if any(not 1 <= r <= 6 for r in r_values):
@@ -236,11 +242,20 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     if workers <= 1:
         rows = _analyze_chunk(space, r_values, encodings)
     else:
-        candidates = list(encodings)
-        step = -(-len(candidates) // (workers * 8))  # never empty: trials >= 1
-        chunks = [candidates[i:i + step] for i in range(0, len(candidates), step)]
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        analyze = partial(_analyze_chunk, space, r_values)
+        chunks = iter(lambda: list(islice(encodings, CHUNK_SIZE)), [])
+        rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(partial(_analyze_chunk, space, r_values), chunks)
-            rows = [row for part in parts for row in part]
+            # Executor.map would submit every chunk at once
+            pending = deque()
+            for chunk in chunks:
+                if len(pending) == CHUNKS_PER_WORKER * workers:
+                    rows.extend(pending.popleft().result())
+                pending.append(pool.submit(analyze, chunk))
+            for future in pending:
+                rows.extend(future.result())
     rows.sort(key=TableRow.sort_key)
     return rows

@@ -31,6 +31,7 @@ from .errors import (
 SIZE_CAP = 1 << 16
 
 _OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_"})
+_TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, a >= 2 only
 
 
 def is_prime(n: int) -> bool:
@@ -140,7 +141,10 @@ class FiniteField:
 
     Instances compare and hash by ``(p, a, modulus)``.  Operation tables
     are built lazily on first arithmetic use and never mutated afterwards,
-    so instances are safe for unrestricted concurrent use.
+    so instances are safe for unrestricted concurrent use.  Fields with
+    ``a >= 2`` are table-backed and expose their discrete-log tables as the
+    tuples ``log`` and ``exp2`` for hot loops: for nonzero x and y,
+    ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is meaningless).
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -151,8 +155,7 @@ class FiniteField:
             raise ValueError(f"extension degree must be a positive integer, got {a}")
         # p^a >= 2^a, so the cap is checked without computing a huge power
         if not allow_large and (a >= SIZE_CAP.bit_length() or p ** a > SIZE_CAP):
-            raise FieldTooLargeError(
-                f"q = {p}^{a} exceeds the default cap {SIZE_CAP}; pass allow_large=True")
+            raise FieldTooLargeError(f"q = {p}^{a} exceeds the cap {SIZE_CAP}")
         if not is_prime(p):
             raise NotPrimeError(f"p = {p} is not prime")
         q = p ** a
@@ -233,7 +236,7 @@ class FiniteField:
     # -- lazy operation tables ----------------------------------------------
 
     def __getattr__(self, name: str):
-        if name in _OP_NAMES:
+        if name in _OP_NAMES or (name in _TABLE_NAMES and self.a > 1):
             self._install_ops()
             return self.__dict__[name]
         raise AttributeError(name)
@@ -272,10 +275,11 @@ class FiniteField:
             exp = [1] * n
             for i in range(1, n):
                 exp[i] = self._raw_mul(exp[i - 1], g)
-            log = [0] * q
+            log = [0] * q  # log[0] is a placeholder: callers test for 0 first
             for i, v in enumerate(exp):
                 log[v] = i
-            exp2 = exp + exp  # spare period so mul can skip the modulus
+            log = tuple(log)
+            exp2 = tuple(exp + exp)  # spare period so mul can skip the modulus
 
             def mul(x, y):
                 if x == 0 or y == 0:
@@ -285,7 +289,7 @@ class FiniteField:
             def inv(x):
                 if x == 0:
                     raise DivisionByZeroError("0 has no inverse")
-                return exp[(n - log[x]) % n]
+                return exp2[n - log[x]]
 
             def pow_(x, e):
                 if x == 0:
@@ -294,7 +298,7 @@ class FiniteField:
                     if e < 0:
                         raise DivisionByZeroError("0 has no inverse")
                     return 0
-                return exp[(log[x] * e) % n]
+                return exp2[(log[x] * e) % n]
 
             if p == 2:
                 def add(x, y):
@@ -332,6 +336,8 @@ class FiniteField:
                     return add(x, neg(y))
 
         self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow_=pow_)
+        if a > 1:
+            self.__dict__.update(log=log, exp2=exp2)
 
     def _find_generator(self) -> int:
         q = self.q
@@ -461,8 +467,7 @@ def field_from_order(q: int, modulus: Iterable[int] | None = None,
                      *, allow_large: bool = False) -> FiniteField:
     """F_q for a prime power q = p^a."""
     if q > SIZE_CAP and not allow_large:
-        raise FieldTooLargeError(
-            f"q = {q} exceeds the default cap {SIZE_CAP}; pass allow_large=True")
+        raise FieldTooLargeError(f"q = {q} exceeds the cap {SIZE_CAP}")
     p, a = prime_power(q)
     return make_field(p, a, modulus, allow_large=allow_large)
 
@@ -523,6 +528,18 @@ class FieldEmbedding:
     def map_poly(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         t = self._table
         return tuple(t[c] for c in coeffs)
+
+    @cached_property
+    def frobenius_pairs(self) -> tuple[int, ...]:
+        """One x per pair {x, x^q} of F_{q^2} outside F_q: the smaller encoding.
+
+        Ascending, (q^2 - q)/2 elements; quadratic extensions only.
+        """
+        q = self.base.q
+        if self.ext.q != q * q:
+            raise ValueError("Frobenius pairs need a quadratic extension")
+        pow_ = self.ext.pow_
+        return tuple(x for x in self.ext.elements() if pow_(x, q) > x)
 
 
 @lru_cache(maxsize=None)

@@ -200,17 +200,16 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
             for v1 in lifts:
                 out.append(MumfordDivisor(u, _line(sub(y, mul(v1, a)), v1)))
 
-    # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q};
-    # v is the F_q-line through (x, y) and (x^q, y^q)
+    # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
+    # (the pair list point counting uses); v is the F_q-line through (x, y)
+    # and (x^q, y^q)
     emb = _extension(F, 2)
     E = emb.ext
     back = emb.preimage
     hh, ff = emb.map_poly(h), emb.map_poly(f)
     eadd, esub, emul, epow = E.add, E.sub, E.mul, E.pow_
-    for x in E.elements():
+    for x in emb.frobenius_pairs:
         xq = epow(x, q)
-        if xq <= x:  # x in F_q, or the conjugate of a root already taken
-            continue
         u = (back[emul(x, xq)], back[E.neg(eadd(x, xq))], 1)
         w = E.inv(esub(x, xq))
         for y in E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x)):

@@ -8,7 +8,6 @@ exact unless a tolerance is written into the criterion.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from jacobicode.bounds import (
     weil_type_point_bound,
 )
 from jacobicode.cli import run_cli
-from jacobicode.curves import CurveModel, count_points, validate_curve
+from jacobicode.curves import count_points, validate_curve
 from jacobicode.explore import RANDOM, SearchSpace, best_codes, enumerate_curves
 from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (

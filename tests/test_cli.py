@@ -215,6 +215,15 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--q", "131072", "--h", "1", "--f", "x^5"],
+        ["analyze", "--curve", '{"field":{"p":2,"a":17},"h":[1],"f":[0,0,0,1,0,1]}'],
+    ])
+    def test_size_cap_message_names_no_python_keyword(self, argv):
+        code, _, err = invoke(argv)
+        assert code == 1 and err.startswith("error:")
+        assert "exceeds the cap 65536" in err and "allow_large" not in err
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         code, _, err = invoke(["bound", "--q", "2", "--tau", "2", "--pi", "3",
                                "--output", str(tmp_path / "missing" / "out.txt")])

@@ -4,7 +4,9 @@ The singularity oracle scans both affine charts of the weighted model over
 F_{q^d}, d <= 3, for simultaneous zeros of the equation and its partials;
 degree bounds make that complete (any repeated factor of a sextic has
 degree <= 3, and singular x-coordinates in characteristic 2 are roots of
-h).  The count oracle solves nothing: it tries every (x, y) pair.
+h).  The count oracle solves nothing: it tries every (x, y) pair.  The
+per-x loop oracle reads the roots in y above every x of F_{q^k}, where the
+library's F_{q^2} count visits one x per Frobenius pair.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ import pytest
 
 from jacobicode import poly
 from jacobicode.curves import (
+    IMAGINARY,
     INFINITY,
+    REAL,
     CurvePoint,
+    _infinity_count,
+    _lifted,
     count_points,
     curve_points,
     validate_curve,
@@ -28,6 +34,7 @@ from jacobicode.errors import (
     SingularModelError,
     WrongDegreeError,
 )
+from jacobicode.explore import RANDOM, SearchSpace, enumerate_curves
 from jacobicode.fields import extend_field, field_from_order, make_field
 from jacobicode.weil import serre_constant
 
@@ -53,6 +60,39 @@ def brute_count(field, h, f, kind, k=1):
         for z in E.elements():
             if E.add(E.mul(z, z), E.mul(h3, z)) == f6:
                 total += 1
+    return total
+
+
+def count_points_loop(curve, k):
+    """The number of points over F_{q^k} from the roots in y above every x."""
+    E, hh, ff = _lifted(curve, k)
+    total = _infinity_count(curve, E, hh, ff)
+    if E.p == 2:
+        mul, inv, add = E.mul, E.inv, E.add
+        mask = E._trace_mask
+        # inline Horner per x; h is short so this dominates nothing
+        for x in E.elements():
+            fx = 0
+            for c in reversed(ff):
+                fx = add(mul(fx, x), c)
+            hx = 0
+            for c in reversed(hh):
+                hx = add(mul(hx, x), c)
+            if hx == 0:
+                total += 1
+            elif (mul(fx, inv(mul(hx, hx))) & mask).bit_count() & 1 == 0:
+                total += 2
+    else:
+        mul, add = E.mul, E.add
+        squares = E.nonzero_squares
+        for x in E.elements():
+            fx = 0
+            for c in reversed(ff):
+                fx = add(mul(fx, x), c)
+            if fx == 0:
+                total += 1
+            elif fx in squares:
+                total += 2
     return total
 
 
@@ -282,3 +322,37 @@ class TestCounting:
 
     def test_extension_count_example_over_f8(self, curve_e2):
         assert count_points(curve_e2, 3).count == 17
+
+
+class TestQuadraticCount:
+    """N2 from one x per Frobenius pair equals the per-x loop."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("kind", [IMAGINARY, REAL])
+    def test_every_small_model(self, q, kind):
+        curves = list(enumerate_curves(SearchSpace(field=field_from_order(q), kind=kind)))
+        assert len(curves) > 100
+        for curve in curves:
+            assert count_points(curve, 2).count == count_points_loop(curve, 2), curve
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27, 32])
+    @pytest.mark.parametrize("kind", [IMAGINARY, REAL])
+    def test_seeded_models(self, q, kind):
+        space = SearchSpace(field=field_from_order(q), kind=kind, mode=RANDOM,
+                            seed=q, trials=12)
+        curves = list(enumerate_curves(space))
+        assert len(curves) >= 3
+        for curve in curves:
+            assert count_points(curve, 2).count == count_points_loop(curve, 2), curve
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
+    def test_pair_representatives(self, q):
+        emb = extend_field(field_from_order(q), 2)
+        E = emb.ext
+        pairs = emb.frobenius_pairs
+        assert len(pairs) == (q * q - q) // 2
+        assert list(pairs) == sorted(pairs)
+        subfield = {emb(a) for a in range(q)}
+        assert subfield.isdisjoint(pairs)
+        covered = [y for x in pairs for y in (x, E.pow_(x, q))]
+        assert sorted(covered) == [x for x in E.elements() if x not in subfield]

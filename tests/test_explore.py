@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +12,6 @@ from jacobicode import explore
 from jacobicode.curves import validate_curve
 from jacobicode.errors import SpaceTooLargeError
 from jacobicode.explore import (
-    EXHAUSTIVE,
     RANDOM,
     SearchSpace,
     TableRow,
@@ -20,6 +21,40 @@ from jacobicode.explore import (
     enumerate_curves,
 )
 from jacobicode.fields import make_field
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for the process pool; returns the list of pools started.
+
+    A task runs when its result is read, so a pool's ``peak`` is the most
+    chunks ever submitted and not yet consumed.
+    """
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.in_flight = self.peak = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            return SimpleNamespace(result=lambda: self._run(fn, args))
+
+        def _run(self, fn, args):
+            self.in_flight -= 1
+            return fn(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return pools
 
 
 class TestEnumeration:
@@ -112,25 +147,19 @@ class TestBestCodes:
         keys = [(row.curve.h, row.curve.f, row.report.r) for row in serial]
         assert len(keys) == len(set(keys))
 
-    def test_worker_count_is_capped_at_cpu_count(self, f2, monkeypatch):
-        class InProcessPool:
-            started: list[int] = []
-
-            def __init__(self, max_workers):
-                self.started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(explore, "ProcessPoolExecutor", InProcessPool)
+    def test_worker_count_is_capped_at_cpu_count(self, f2, monkeypatch, in_process_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         space = SearchSpace(field=f2)
         capped = best_codes(space, [3], parallelism=100000)
-        assert InProcessPool.started == [2]
+        assert [pool.max_workers for pool in in_process_pool] == [2]
         assert capped == best_codes(space, [3], parallelism=1)
+
+    def test_chunks_in_flight_are_bounded(self, f2, monkeypatch, in_process_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(explore, "CHUNK_SIZE", 8)
+        spaces = [SearchSpace(field=f2),  # 256 candidates, 32 chunks
+                  SearchSpace(field=f2, kind="real")]  # 1024 candidates, 128 chunks
+        for space in spaces:
+            assert best_codes(space, [3], parallelism=2) == best_codes(space, [3])
+        assert [pool.peak for pool in in_process_pool] == [
+            explore.CHUNKS_PER_WORKER * 2] * 2

@@ -148,6 +148,20 @@ class TestArithmetic:
                 return
         pytest.fail(f"F_{q} has no element of order {q - 1}")
 
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25])
+    def test_log_tables_match_raw_product(self, q):
+        F = builtin_field(q)
+        log, exp2 = F.log, F.exp2
+        assert isinstance(log, tuple) and isinstance(exp2, tuple)
+        assert len(exp2) == 2 * (q - 1)
+        for x in range(1, q):
+            for y in range(1, q):
+                assert exp2[log[x] + log[y]] == F._raw_mul(x, y)
+
+    def test_prime_fields_have_no_log_tables(self):
+        with pytest.raises(AttributeError):
+            make_field(5, 1).log
+
     def test_pow_matches_repeated_product(self, f4):
         for x in f4.elements():
             acc = 1
