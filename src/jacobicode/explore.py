@@ -41,7 +41,7 @@ from .fields import FiniteField
 from .weil import SimplicityVerdict, WeilData, classify_simplicity, weil_from_counts
 
 EXHAUSTIVE_CAP = 10 ** 7
-CHUNK_SIZE = 256  # candidates per pool task
+CHUNK_SIZE = 256  # most candidates per pool task
 CHUNKS_PER_WORKER = 2  # pool tasks in flight per worker
 
 EXHAUSTIVE = "exhaustive"
@@ -230,9 +230,11 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
 
     At most one worker process per CPU is started, whatever ``parallelism``
     asks for; the table does not depend on either.  The pool gets the
-    candidates in chunks of ``CHUNK_SIZE`` as the stream yields them, with
-    at most ``CHUNKS_PER_WORKER`` chunks per worker in flight, so the
-    candidates held at once do not grow with the size of the space.
+    candidates in chunks as the stream yields them, with at most
+    ``CHUNKS_PER_WORKER`` chunks per worker in flight, so the candidates held
+    at once do not grow with the size of the space.  A chunk holds at most
+    ``CHUNK_SIZE`` candidates, and fewer when the stream is short, so that a
+    small space still makes about eight chunks per worker.
     """
     r_values = tuple(dict.fromkeys(r_values))
     if any(not 1 <= r <= 6 for r in r_values):
@@ -246,7 +248,9 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
         from concurrent.futures import ProcessPoolExecutor
 
         analyze = partial(_analyze_chunk, space, r_values)
-        chunks = iter(lambda: list(islice(encodings, CHUNK_SIZE)), [])
+        length = space.size if space.mode == EXHAUSTIVE else space.trials
+        step = min(CHUNK_SIZE, -(-length // (workers * 8)))
+        chunks = iter(lambda: list(islice(encodings, step)), [])
         rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map would submit every chunk at once

@@ -536,8 +536,6 @@ class FieldEmbedding:
         Ascending, (q^2 - q)/2 elements; quadratic extensions only.
         """
         q = self.base.q
-        if self.ext.q != q * q:
-            raise ValueError("Frobenius pairs need a quadratic extension")
         pow_ = self.ext.pow_
         return tuple(x for x in self.ext.elements() if pow_(x, q) > x)
 

@@ -28,7 +28,8 @@ def in_process_pool(monkeypatch):
     """Stand in for the process pool; returns the list of pools started.
 
     A task runs when its result is read, so a pool's ``peak`` is the most
-    chunks ever submitted and not yet consumed.
+    chunks ever submitted and not yet consumed; ``sizes`` lists the length
+    of every chunk submitted.
     """
     pools = []
 
@@ -36,6 +37,7 @@ def in_process_pool(monkeypatch):
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.in_flight = self.peak = 0
+            self.sizes = []
             pools.append(self)
 
         def __enter__(self):
@@ -45,6 +47,7 @@ def in_process_pool(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            self.sizes.append(len(args[-1]))
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
             return SimpleNamespace(result=lambda: self._run(fn, args))
@@ -163,3 +166,14 @@ class TestBestCodes:
             assert best_codes(space, [3], parallelism=2) == best_codes(space, [3])
         assert [pool.peak for pool in in_process_pool] == [
             explore.CHUNKS_PER_WORKER * 2] * 2
+
+    def test_small_space_is_split_for_every_worker(self, f2, monkeypatch,
+                                                   in_process_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        exhaustive = SearchSpace(field=f2)  # 256 candidates, under CHUNK_SIZE
+        drawn = SearchSpace(field=f2, mode=RANDOM, seed=1, trials=160)
+        for space in (exhaustive, drawn):
+            assert best_codes(space, [3], parallelism=2) == best_codes(space, [3])
+        assert in_process_pool[0].sizes == [16] * 16
+        assert max(in_process_pool[1].sizes) == 10  # 160 draws over 16 chunks
+        assert len(in_process_pool[1].sizes) >= 2
