@@ -9,15 +9,7 @@ from .bounds import (
     support_bound,
     weil_type_point_bound,
 )
-from .curves import (
-    INFINITY,
-    CurveModel,
-    CurvePoint,
-    PointCount,
-    count_points,
-    curve_points,
-    validate_curve,
-)
+from .curves import CurveModel, PointCount, count_points, validate_curve
 from .explore import SearchSpace, TableRow, analyze_curve, best_codes, enumerate_curves
 from .fields import (
     FieldEmbedding,
@@ -25,7 +17,6 @@ from .fields import (
     default_modulus,
     extend_field,
     field_from_order,
-    lift_quadratic,
     make_field,
     prime_power,
 )

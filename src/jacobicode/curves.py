@@ -12,18 +12,16 @@ smoothness criterion applies per characteristic:
 
 Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
 read off the quadratic in y (square test in odd characteristic, trace test
-in characteristic 2), with the points at infinity of the smooth model added
-per model kind.  Over F_{q^2} the count visits one x per Frobenius pair
-{x, x^q} outside F_q, which has as many points above it as its conjugate,
-and reads the points above F_q off the discriminant: each a in F_q gives
-two, or one where the discriminant vanishes, since every quadratic over
-F_q splits over F_{q^2}.
+in characteristic 2).  One loop, Horner on the discrete-log tables of
+F_{q^k}, covers the nonzero x; x = 0 is read off ``quadratic_roots``, and
+the points at infinity of the smooth model are added per model kind.  Over
+F_{q^2} the loop visits the image of F_q once and one x per Frobenius pair
+{x, x^q} outside F_q twice, since x^q has as many points above it as x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import poly
@@ -34,7 +32,7 @@ from .errors import (
     SingularModelError,
     WrongDegreeError,
 )
-from .fields import FieldEmbedding, FiniteField, extend_field
+from .fields import FiniteField, extend_field
 
 POINT_BUDGET = 1 << 20
 
@@ -85,26 +83,6 @@ class CurveModel:
 class PointCount:
     k: int
     count: int
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y), or a point at infinity when x is None.
-
-    For real models the two possible points at infinity are told apart by
-    the y slot, which then holds the solution of the leading-term equation;
-    an imaginary model's single point at infinity is ``CurvePoint(None, 0)``.
-    """
-
-    x: int | None
-    y: int
-
-    @property
-    def at_infinity(self) -> bool:
-        return self.x is None
-
-
-INFINITY = CurvePoint(None, 0)
 
 
 def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> CurveModel:
@@ -162,11 +140,6 @@ def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> Cu
     return CurveModel(field, (), g, kind)
 
 
-@lru_cache(maxsize=None)
-def _extension(field: FiniteField, k: int) -> FieldEmbedding:
-    return extend_field(field, k, allow_large=True)
-
-
 def _check_budget(curve: CurveModel, k: int) -> None:
     if curve.field.q ** k > POINT_BUDGET:
         raise BudgetExceededError(
@@ -176,7 +149,7 @@ def _check_budget(curve: CurveModel, k: int) -> None:
 def _lifted(curve: CurveModel, k: int) -> tuple[FiniteField, tuple[int, ...], tuple[int, ...]]:
     if k == 1:
         return curve.field, curve.h, curve.f
-    emb = _extension(curve.field, k)
+    emb = extend_field(curve.field, k, allow_large=True)
     return emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
 
 
@@ -197,99 +170,54 @@ def _infinity_count(curve: CurveModel, E: FiniteField, hh, ff) -> int:
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     """Exhaustive number of points of the smooth model over F_{q^k}."""
     _check_budget(curve, k)
-    if k == 2:
-        return PointCount(2, _count_quadratic(curve))
     E, hh, ff = _lifted(curve, k)
     total = _infinity_count(curve, E, hh, ff)
-    if E.p == 2:
-        mul, inv, add = E.mul, E.inv, E.add
-        mask = E._trace_mask
-        # inline Horner per x; h is short so this dominates nothing
-        for x in E.elements():
-            fx = 0
-            for c in reversed(ff):
-                fx = add(mul(fx, x), c)
-            hx = 0
-            for c in reversed(hh):
-                hx = add(mul(hx, x), c)
-            if hx == 0:
-                total += 1
-            elif (mul(fx, inv(mul(hx, hx))) & mask).bit_count() & 1 == 0:
-                total += 2
+    total += len(E.quadratic_roots(poly.coefficient(hh, 0), poly.coefficient(ff, 0)))
+    if k == 2:
+        emb = extend_field(curve.field, 2, allow_large=True)
+        subfield = [emb(a) for a in range(1, curve.field.q)]
+        total += (_roots_above(E, hh, ff, subfield)
+                  + 2 * _roots_above(E, hh, ff, emb.frobenius_pairs))
     else:
-        mul, add = E.mul, E.add
-        squares = E.nonzero_squares
-        for x in E.elements():
-            fx = 0
-            for c in reversed(ff):
-                fx = add(mul(fx, x), c)
-            if fx == 0:
-                total += 1
-            elif fx in squares:
-                total += 2
+        total += _roots_above(E, hh, ff, range(1, E.q))
     return PointCount(k, total)
 
 
-def _count_quadratic(curve: CurveModel) -> int:
-    """N2 from one x per Frobenius pair of F_{q^2} outside F_q.
+def _roots_above(E: FiniteField, hh, ff, xs) -> int:
+    """Number of roots y in E of y^2 + h(x)y = f(x), summed over nonzero xs.
 
-    Over F_{q^2} every a in F_q gives two points, or one where the
-    discriminant of y^2 + h(a)y = f(a) vanishes (h(a) = 0 in characteristic
-    2, f(a) = 0 otherwise); x and x^q give the same number of points.
-    h and f are evaluated by Horner on the discrete-log tables of F_{q^2}.
+    h and f are evaluated by Horner on the discrete-log tables of E; h is
+    read only in characteristic 2, as odd-characteristic models have h = 0.
     """
-    F, q = curve.field, curve.field.q
-    emb = _extension(F, 2)
-    E = emb.ext
-    hh, ff = emb.map_poly(curve.h), emb.map_poly(curve.f)
     log, exp2, n = E.log, E.exp2, E.q - 1
     f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term
-    pairs = 0
+    total = 0
     if E.p == 2:
-        disc = curve.h
         h_lead, h_rest = hh[-1], hh[-2::-1]
         mask = E._trace_mask
-        for x in emb.frobenius_pairs:
+        for x in xs:
             lx = log[x]
             hx = h_lead
             for c in h_rest:
                 hx = (exp2[log[hx] + lx] ^ c) if hx else c
             if hx == 0:  # y^2 = f(x): squaring is bijective
-                pairs += 1
+                total += 1
                 continue
             fx = f_lead
             for c in f_rest:
                 fx = (exp2[log[fx] + lx] ^ c) if fx else c
             # two roots iff trace(f(x) / h(x)^2) = 0
             if fx == 0 or (exp2[(log[fx] - 2 * log[hx]) % n] & mask).bit_count() & 1 == 0:
-                pairs += 2
+                total += 2
     else:
-        disc = curve.f
         add = E.add
-        for x in emb.frobenius_pairs:
+        for x in xs:
             lx = log[x]
             fx = f_lead
             for c in f_rest:
                 fx = add(exp2[log[fx] + lx], c) if fx else c
             if fx == 0:
-                pairs += 1
+                total += 1
             elif log[fx] & 1 == 0:  # even power of the generator: a square
-                pairs += 2
-    base = 2 * q - sum(1 for a in range(q) if poly.evaluate(F, disc, a) == 0)
-    return _infinity_count(curve, E, hh, ff) + base + 2 * pairs
-
-
-def curve_points(curve: CurveModel, k: int = 1) -> list[CurvePoint]:
-    """The explicit point set over F_{q^k}; its length equals count_points."""
-    _check_budget(curve, k)
-    E, hh, ff = _lifted(curve, k)
-    pts: list[CurvePoint] = []
-    if curve.is_imaginary:
-        pts.append(INFINITY)
-    else:  # z^2 + h3 z = f6 on the chart at infinity
-        roots = E.quadratic_roots(poly.coefficient(hh, 3), poly.coefficient(ff, 6))
-        pts.extend(CurvePoint(None, z) for z in roots)
-    for x in E.elements():
-        roots = E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x))
-        pts.extend(CurvePoint(x, y) for y in roots)
-    return pts
+                total += 2
+    return total

@@ -27,6 +27,7 @@ from itertools import islice
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
+from . import poly
 from .bounds import CodeReport, code_params
 from .curves import IMAGINARY, REAL, CurveModel, count_points, validate_curve
 from .errors import (
@@ -184,11 +185,10 @@ CSV_COLUMNS = ("q", "h", "f", "N1", "N2", "c1", "c2", "simplicity",
 
 
 def csv_row(row: TableRow) -> tuple:
-    from .polytext import format_poly
     return (
         row.curve.field.q,
-        format_poly(row.curve.h),
-        format_poly(row.curve.f),
+        poly.to_string(row.curve.h),
+        poly.to_string(row.curve.f),
         row.n1,
         row.n2,
         row.weil.c1,

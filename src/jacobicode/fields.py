@@ -3,8 +3,9 @@
 An element of F_{p^a} is identified with its integer encoding
 ``sum(c[i] * p**i)`` where ``(c[0], ..., c[a-1])`` are its coordinates in
 the power basis of the chosen modulus, low degree first.  The encoding is
-also the wire format.  All hot loops (point counting, group enumeration)
-work directly on these plain integers through precomputed discrete-log
+also the wire format.  Every field, prime fields included, multiplies
+through precomputed discrete-log tables, and the hot loops (point
+counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
 Python.
 
@@ -31,7 +32,7 @@ from .errors import (
 SIZE_CAP = 1 << 16
 
 _OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_"})
-_TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, a >= 2 only
+_TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, built with the ops
 
 
 def is_prime(n: int) -> bool:
@@ -141,10 +142,13 @@ class FiniteField:
 
     Instances compare and hash by ``(p, a, modulus)``.  Operation tables
     are built lazily on first arithmetic use and never mutated afterwards,
-    so instances are safe for unrestricted concurrent use.  Fields with
-    ``a >= 2`` are table-backed and expose their discrete-log tables as the
-    tuples ``log`` and ``exp2`` for hot loops: for nonzero x and y,
-    ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is meaningless).
+    so instances are safe for unrestricted concurrent use.  Every field
+    multiplies, inverts and raises to powers through its discrete-log
+    tables, exposed as the tuples ``log`` and ``exp2`` for hot loops: for
+    nonzero x and y, ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is
+    meaningless).  Addition is XOR in characteristic 2, reduction mod p in
+    prime fields, and digitwise mod p otherwise, from a q x q table when
+    q <= 1024.
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -209,6 +213,8 @@ class FiniteField:
     # -- raw multiplication used to bootstrap the tables --------------------
 
     def _raw_mul(self, x: int, y: int) -> int:
+        if self.a == 1:
+            return x * y % self.p
         if self.p == 2:
             m = _undigits(self.modulus, 2)
             a = self.a
@@ -236,14 +242,52 @@ class FiniteField:
     # -- lazy operation tables ----------------------------------------------
 
     def __getattr__(self, name: str):
-        if name in _OP_NAMES or (name in _TABLE_NAMES and self.a > 1):
+        if name in _OP_NAMES or name in _TABLE_NAMES:
             self._install_ops()
             return self.__dict__[name]
         raise AttributeError(name)
 
     def _install_ops(self) -> None:
         p, a, q = self.p, self.a, self.q
-        if a == 1:
+        g = self._find_generator()
+        n = q - 1
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = self._raw_mul(exp[i - 1], g)
+        log = [0] * q  # log[0] is a placeholder: callers test for 0 first
+        for i, v in enumerate(exp):
+            log[v] = i
+        log = tuple(log)
+        exp2 = tuple(exp + exp)  # spare period so mul can skip the modulus
+
+        def mul(x, y):
+            if x == 0 or y == 0:
+                return 0
+            return exp2[log[x] + log[y]]
+
+        def inv(x):
+            if x == 0:
+                raise DivisionByZeroError("0 has no inverse")
+            return exp2[n - log[x]]
+
+        def pow_(x, e):
+            if x == 0:
+                if e == 0:
+                    return 1
+                if e < 0:
+                    raise DivisionByZeroError("0 has no inverse")
+                return 0
+            return exp2[(log[x] * e) % n]
+
+        if p == 2:
+            def add(x, y):
+                return x ^ y
+
+            sub = add
+
+            def neg(x):
+                return x
+        elif a == 1:
             def add(x, y):
                 return (x + y) % p
 
@@ -252,92 +296,35 @@ class FiniteField:
 
             def neg(x):
                 return (-x) % p
-
-            def mul(x, y):
-                return (x * y) % p
-
-            def inv(x):
-                if x == 0:
-                    raise DivisionByZeroError("0 has no inverse")
-                return pow(x, p - 2, p)
-
-            def pow_(x, e):
-                if x == 0:
-                    if e == 0:
-                        return 1
-                    if e < 0:
-                        raise DivisionByZeroError("0 has no inverse")
-                    return 0
-                return pow(x, e % (p - 1), p)
         else:
-            g = self._find_generator()
-            n = q - 1
-            exp = [1] * n
-            for i in range(1, n):
-                exp[i] = self._raw_mul(exp[i - 1], g)
-            log = [0] * q  # log[0] is a placeholder: callers test for 0 first
-            for i, v in enumerate(exp):
-                log[v] = i
-            log = tuple(log)
-            exp2 = tuple(exp + exp)  # spare period so mul can skip the modulus
+            negtab = [_undigits([(p - c) % p for c in self.coeffs(x)], p)
+                      for x in range(q)]
 
-            def mul(x, y):
-                if x == 0 or y == 0:
-                    return 0
-                return exp2[log[x] + log[y]]
+            def neg(x):
+                return negtab[x]
 
-            def inv(x):
-                if x == 0:
-                    raise DivisionByZeroError("0 has no inverse")
-                return exp2[n - log[x]]
+            if q <= 1024:
+                addtab = []
+                for x in range(q):
+                    cx = self.coeffs(x)
+                    row = [_undigits([(cx[i] + cy) % p for i, cy in
+                                      enumerate(self.coeffs(y))], p)
+                           for y in range(q)]
+                    addtab.append(row)
 
-            def pow_(x, e):
-                if x == 0:
-                    if e == 0:
-                        return 1
-                    if e < 0:
-                        raise DivisionByZeroError("0 has no inverse")
-                    return 0
-                return exp2[(log[x] * e) % n]
-
-            if p == 2:
                 def add(x, y):
-                    return x ^ y
-
-                sub = add
-
-                def neg(x):
-                    return x
+                    return addtab[x][y]
             else:
-                negtab = [_undigits([(p - c) % p for c in self.coeffs(x)], p)
-                          for x in range(q)]
+                def add(x, y):
+                    cx = _digits(x, p, a)
+                    cy = _digits(y, p, a)
+                    return _undigits([(u + v) % p for u, v in zip(cx, cy)], p)
 
-                def neg(x):
-                    return negtab[x]
+            def sub(x, y):
+                return add(x, neg(y))
 
-                if q <= 1024:
-                    addtab = []
-                    for x in range(q):
-                        cx = self.coeffs(x)
-                        row = [_undigits([(cx[i] + cy) % p for i, cy in
-                                          enumerate(self.coeffs(y))], p)
-                               for y in range(q)]
-                        addtab.append(row)
-
-                    def add(x, y):
-                        return addtab[x][y]
-                else:
-                    def add(x, y):
-                        cx = _digits(x, p, a)
-                        cy = _digits(y, p, a)
-                        return _undigits([(u + v) % p for u, v in zip(cx, cy)], p)
-
-                def sub(x, y):
-                    return add(x, neg(y))
-
-        self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow_=pow_)
-        if a > 1:
-            self.__dict__.update(log=log, exp2=exp2)
+        self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow_=pow_,
+                             log=log, exp2=exp2)
 
     def _find_generator(self) -> int:
         q = self.q
@@ -548,7 +535,3 @@ def extend_field(field: FiniteField, k: int, *, allow_large: bool = False) -> Fi
     ext = make_field(field.p, field.a * k, allow_large=allow_large)
     return FieldEmbedding(field, ext)
 
-
-def lift_quadratic(field: FiniteField, *, allow_large: bool = False) -> FieldEmbedding:
-    """The quadratic extension F_{q^2} with its embedding of F_q."""
-    return extend_field(field, 2, allow_large=allow_large)

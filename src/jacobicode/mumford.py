@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import poly
-from .curves import CurveModel, _extension, count_points
+from .curves import CurveModel, count_points
 from .errors import (
     BudgetExceededError,
     InvalidDivisorError,
@@ -31,6 +31,7 @@ from .errors import (
     OrderMismatchError,
     RealModelUnsupportedError,
 )
+from .fields import extend_field
 from .weil import jacobian_order, weil_from_counts
 
 JACOBIAN_Q_CAP = 64
@@ -203,7 +204,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
     # (the pair list point counting uses); v is the F_q-line through (x, y)
     # and (x^q, y^q)
-    emb = _extension(F, 2)
+    emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
     back = emb.preimage
     hh, ff = emb.map_poly(h), emb.map_poly(f)

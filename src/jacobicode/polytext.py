@@ -6,7 +6,7 @@ integer encodings of field elements, attached with '*':
     x^5+x^3        2*x^6+x+1        3*x^2+2        0
 
 Repeated monomials are summed in the field.  Rendering is the inverse,
-high degree first, omitting unit coefficients.
+``poly.to_string``: high degree first, omitting unit coefficients.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import re
 
 from .errors import PolySyntaxError
 from .fields import FiniteField
-from .poly import Poly, to_string, trim
+from .poly import Poly, trim
 
 _TERM = re.compile(
     r"^(?:(?P<coeff>\d+)\*)?(?P<var>x)(?:\^(?P<exp>\d+))?$|^(?P<const>\d+)$")
-
-format_poly = to_string
 
 
 def parse_poly(text: str, field: FiniteField) -> Poly:

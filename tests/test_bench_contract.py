@@ -1,0 +1,57 @@
+"""The library names the benchmark harness reads still exist.
+
+``perfbench/setup_probe.py`` builds the fields and lazy tables of each
+workload, and ``perfbench/run.py`` wraps public library functions by name
+for its traced run.  Both are loaded here by path, so a library change that
+drops or renames a name they use fails this test instead of the benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from jacobicode import bounds, curves, explore, mumford, poly
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(monkeypatch, name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """setup_probe and run as run.py imports them, undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends src
+    probe = load(monkeypatch, "setup_probe", PERFBENCH / "setup_probe.py")
+    load(monkeypatch, "spans", PERFBENCH / "spans.py")
+    run = load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    return probe, run
+
+
+def test_setup_probe_builds_the_workload_fields(perfbench):
+    probe, _ = perfbench
+    probe.build_fields((4, 5, 16))
+
+
+def test_tracing_wraps_and_restores_the_library(perfbench):
+    _, run = perfbench
+    modules = (bounds, curves, explore, mumford, poly)
+    before = [dict(vars(m)) for m in modules]
+    tracer = run.Tracer()
+    try:
+        run.install_tracing(tracer)
+        assert curves.validate_curve is not before[1]["validate_curve"]
+        curves.validate_curve(run.fields.make_field(2), (1,), (0, 0, 0, 0, 0, 1))
+        assert tracer.calls["curves.validate"] == 1
+    finally:
+        tracer.restore()
+    assert [dict(vars(m)) for m in modules] == before

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobicode import poly
 from jacobicode.cli import run_cli
 from jacobicode.fields import make_field
-from jacobicode.polytext import format_poly, parse_poly
+from jacobicode.polytext import parse_poly
 
 
 def invoke(argv):
@@ -48,9 +49,8 @@ class TestPolyText:
                 for _ in range(3):
                     rest, c = divmod(rest, field.q)
                     coeffs.append(c)
-                from jacobicode.poly import trim
-                t = trim(coeffs)
-                assert parse_poly(format_poly(t), field) == t
+                t = poly.trim(coeffs)
+                assert parse_poly(poly.to_string(t), field) == t
 
 
 class TestAnalyze:

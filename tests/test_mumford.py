@@ -9,8 +9,7 @@ from random import Random
 import pytest
 
 from jacobicode import poly
-from jacobicode.curves import INFINITY, CurvePoint, CurveModel, count_points, curve_points, \
-    validate_curve
+from jacobicode.curves import CurveModel, count_points, validate_curve
 from jacobicode.errors import (
     GenusNotTwoError,
     InvalidDivisorError,
@@ -37,6 +36,7 @@ from jacobicode.mumford import (
     zero_sum_tuples,
 )
 from jacobicode.weil import jacobian_order, weil_from_counts
+from test_curves import INFINITY, CurvePoint, curve_points
 
 D_X0 = MumfordDivisor((0, 1), ())     # (x, 0)
 D_X1 = MumfordDivisor((0, 1), (1,))   # (x, 1)
