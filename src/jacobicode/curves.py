@@ -175,8 +175,7 @@ def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     total += len(E.quadratic_roots(poly.coefficient(hh, 0), poly.coefficient(ff, 0)))
     if k == 2:
         emb = extend_field(curve.field, 2, allow_large=True)
-        subfield = [emb(a) for a in range(1, curve.field.q)]
-        total += (_roots_above(E, hh, ff, subfield)
+        total += (_roots_above(E, hh, ff, emb.nonzero_image)
                   + 2 * _roots_above(E, hh, ff, emb.frobenius_pairs))
     else:
         total += _roots_above(E, hh, ff, range(1, E.q))

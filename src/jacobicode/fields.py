@@ -517,6 +517,11 @@ class FieldEmbedding:
         return tuple(t[c] for c in coeffs)
 
     @cached_property
+    def nonzero_image(self) -> tuple[int, ...]:
+        """The images of the nonzero elements of the base field, in encoding order."""
+        return tuple(self._table[1:])
+
+    @cached_property
     def frobenius_pairs(self) -> tuple[int, ...]:
         """One x per pair {x, x^q} of F_{q^2} outside F_q: the smaller encoding.
 

@@ -396,6 +396,7 @@ class TestQuadraticCount:
         pairs = emb.frobenius_pairs
         assert len(pairs) == (q * q - q) // 2
         assert list(pairs) == sorted(pairs)
+        assert emb.nonzero_image == tuple(emb(a) for a in range(1, q))
         subfield = {emb(a) for a in range(q)}
         assert subfield.isdisjoint(pairs)
         covered = [y for x in pairs for y in (x, E.pow_(x, q))]

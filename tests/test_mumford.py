@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from jacobicode import poly
+from jacobicode import mumford, poly
 from jacobicode.curves import CurveModel, count_points, validate_curve
 from jacobicode.errors import (
     GenusNotTwoError,
@@ -24,6 +24,7 @@ from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
     MumfordDivisor,
+    _cantor,
     _reduced_divisors,
     cantor_add,
     check_divisor,
@@ -161,6 +162,18 @@ class TestGroupLaw:
                 for d in group:
                     assert scalar_mul(curve, n, d) == IDENTITY
 
+    def test_group_law_rejects_an_invalid_class(self, curve_e2):
+        # x^2 + x + 1 does not divide x^5 + x^3 - h v - v^2 for v = 0; it is
+        # coprime to every other u, so each sum reaches an inexact division
+        bad = MumfordDivisor((1, 1, 1), ())
+        deg2 = [d for d in enumerate_jacobian(curve_e2) if d.degree == 2]
+        pairs = [(bad, bad)] + [p for d in deg2 for p in ((bad, d), (d, bad))]
+        assert len(pairs) == 17
+        for add in (cantor_add, _cantor):
+            for d1, d2 in pairs:
+                with pytest.raises(InvalidDivisorError):
+                    add(curve_e2, d1, d2)
+
     def test_invalid_divisor_rejected(self, curve_e2):
         with pytest.raises(InvalidDivisorError):
             check_divisor(curve_e2, MumfordDivisor((1, 1), (0, 1)))  # deg v == deg u
@@ -169,6 +182,97 @@ class TestGroupLaw:
         with pytest.raises(InvalidDivisorError):
             # x^2 + x + 1 is irreducible and does not divide x^5 + x^3 = x^3 (x+1)^2
             check_divisor(curve_e2, MumfordDivisor((1, 1, 1), ()))
+
+
+BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum", "point plus class",
+            "cantor"}
+SAMPLED_QS = {True: (8, 16, 32), False: (7, 9, 25, 27)}  # by characteristic 2 or odd
+SAMPLED_PAIRS = 150
+
+
+def needs_cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> bool:
+    """Whether the explicit formulas leave the sum of two valid classes to Cantor."""
+    F = curve.field
+    if IDENTITY in (d1, d2):
+        return False
+    if d1.u == d2.u:
+        w = poly.mod(F, poly.add(F, poly.add(F, d1.v, d2.v), curve.h), d1.u)
+        return bool(w) and (d1.degree == 1 or d1.v != d2.v
+                            or poly.degree(poly.gcd(F, d1.u, w)) > 0)
+    return d1.degree == d2.degree == 1 or poly.degree(poly.gcd(F, d1.u, d2.u)) > 0
+
+
+def branch(d1: MumfordDivisor, d2: MumfordDivisor, out: MumfordDivisor,
+           fell_back: bool) -> str:
+    if fell_back:
+        return "cantor"
+    if IDENTITY in (d1, d2):
+        return "identity"
+    if out == IDENTITY:
+        return "negation"
+    if out.degree == 1:
+        return "degree-1 sum"
+    if d1.degree != d2.degree:
+        return "point plus class"
+    return "double" if d1 == d2 else "add"
+
+
+class TestExplicitFormulas:
+    """cantor_add against Cantor's algorithm, with the branch of every call."""
+
+    @pytest.mark.parametrize("even", [True, False], ids=["char2", "odd"])
+    def test_equal_to_cantor(self, even, corpus, monkeypatch):
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return _cantor(*args)
+
+        monkeypatch.setattr(mumford, "_cantor", counted)
+        rng = Random(even)
+        taken = Counter()
+
+        def check(curve, d1, d2):
+            fallbacks.clear()
+            out = cantor_add(curve, d1, d2)
+            assert out == _cantor(curve, d1, d2), (curve, d1, d2)
+            assert bool(fallbacks) == needs_cantor(curve, d1, d2), (curve, d1, d2)
+            taken[branch(d1, d2, out, bool(fallbacks))] += 1
+
+        def check_invalid(curve, group):
+            # one class outside the group: whatever _cantor rejects is rejected
+            while True:
+                u = (rng.randrange(curve.field.q), rng.randrange(curve.field.q), 1)
+                bad = MumfordDivisor(u, poly.trim([rng.randrange(curve.field.q)
+                                                   for _ in range(2)]))
+                if bad not in group:
+                    break
+            for d in group:
+                for d1, d2 in ((bad, d), (d, bad)):
+                    try:
+                        _cantor(curve, d1, d2)
+                    except InvalidDivisorError:
+                        with pytest.raises(InvalidDivisorError):
+                            cantor_add(curve, d1, d2)
+
+        for q in corpus:
+            if (q % 2 == 0) != even:
+                continue
+            for curve in corpus[q]:  # all of F_2 and F_3; the F_4 and F_5 slices
+                group = enumerate_jacobian(curve)
+                for d1 in group:
+                    for d2 in group:
+                        check(curve, d1, d2)
+                check_invalid(curve, set(group))
+        for q in SAMPLED_QS[even]:
+            for curve in seeded_curves(q, 2, seed=3000 + q):
+                group = enumerate_jacobian(curve)
+                for _ in range(SAMPLED_PAIRS):
+                    d1, d2 = rng.choice(group), rng.choice(group)
+                    check(curve, d1, d2)
+                    check(curve, d1, d1)
+                check_invalid(curve, set(group))
+        assert set(taken) == BRANCHES, taken
 
 
 class TestEnumeration:
