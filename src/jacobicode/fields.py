@@ -7,7 +7,8 @@ also the wire format.  Every field, prime fields included, multiplies
 through precomputed discrete-log tables, and the hot loops (point
 counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
-Python.
+Python.  Odd extension fields with q <= 1024 also keep a q x q addition
+table, composed row by row from carry-free single-digit steps.
 
 Default moduli are generated deterministically: for ``a >= 2`` the modulus
 of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
@@ -148,7 +149,8 @@ class FiniteField:
     nonzero x and y, ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is
     meaningless).  Addition is XOR in characteristic 2, reduction mod p in
     prime fields, and digitwise mod p otherwise, from a q x q table when
-    q <= 1024.
+    q <= 1024: row x is row x - p^i, for the lowest nonzero digit place
+    p^i of x, mapped through the carry-free permutation y -> y + p^i.
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -304,13 +306,13 @@ class FiniteField:
                 return negtab[x]
 
             if q <= 1024:
-                addtab = []
-                for x in range(q):
-                    cx = self.coeffs(x)
-                    row = [_undigits([(cx[i] + cy) % p for i, cy in
-                                      enumerate(self.coeffs(y))], p)
-                           for y in range(q)]
-                    addtab.append(row)
+                places = [p ** i for i in range(a)]
+                steps = [[y - (p - 1) * pi if y // pi % p == p - 1 else y + pi
+                          for y in range(q)] for pi in places]  # y + p^i, no carry
+                addtab = [list(range(q))]
+                for x in range(1, q):  # p^i: the lowest nonzero digit place of x
+                    step, pi = next((s, pi) for s, pi in zip(steps, places) if x // pi % p)
+                    addtab.append([step[z] for z in addtab[x - pi]])
 
                 def add(x, y):
                     return addtab[x][y]
@@ -328,11 +330,9 @@ class FiniteField:
 
     def _find_generator(self) -> int:
         q = self.q
-        if q == 2:
-            return 1
         n = q - 1
         factors = prime_factors(n)
-        for g in range(2, q):
+        for g in range(1, q):  # 1 generates only F_2^*
             if all(self._raw_pow(g, n // ell) != 1 for ell in factors):
                 return g
         raise AssertionError("multiplicative group has no generator; modulus reducible?")
@@ -383,8 +383,7 @@ class FiniteField:
         """Table t with t[x*x] = smallest square root of x*x, -1 for non-squares."""
         mul = self.mul
         table = [-1] * self.q
-        table[0] = 0
-        for y in range(1, self.q):
+        for y in range(self.q):
             s = mul(y, y)
             if table[s] < 0:
                 table[s] = y

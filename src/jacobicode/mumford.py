@@ -284,19 +284,29 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
 
     # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
     # (the pair list point counting uses); v is the F_q-line through (x, y)
-    # and (x^q, y^q)
+    # and (x^q, y^q).  The loop runs on the discrete-log tables of F_{q^2}:
+    # x^q, the norm x^(q+1), h(x) and f(x) by Horner, and 1/(x - x^q) as a log.
     emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
     back = emb.preimage
-    hh, ff = emb.map_poly(h), emb.map_poly(f)
-    eadd, esub, emul, epow = E.add, E.sub, E.mul, E.pow_
+    log, exp2, n = E.log, E.exp2, E.q - 1
+    eadd, esub = E.add, E.sub
+    h_desc, f_desc = emb.map_poly(h)[::-1], emb.map_poly(f)[::-1]
     for x in emb.frobenius_pairs:
-        xq = epow(x, q)
-        u = (back[emul(x, xq)], back[E.neg(eadd(x, xq))], 1)
-        w = E.inv(esub(x, xq))
-        for y in E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x)):
-            v1 = emul(esub(y, epow(y, q)), w)
-            v0 = esub(y, emul(v1, x))
+        lx = log[x]
+        lxq = lx * q % n
+        xq = exp2[lxq]
+        u = (back[exp2[lx + lxq]], back[E.neg(eadd(x, xq))], 1)
+        lw = n - log[esub(x, xq)]
+        hx = fx = 0
+        for c in h_desc:
+            hx = eadd(exp2[log[hx] + lx], c) if hx else c
+        for c in f_desc:
+            fx = eadd(exp2[log[fx] + lx], c) if fx else c
+        for y in E.quadratic_roots(hx, fx):
+            d = esub(y, exp2[log[y] * q % n]) if y else 0
+            v1 = exp2[log[d] + lw] if d else 0
+            v0 = esub(y, exp2[log[v1] + lx]) if v1 else y
             out.append(MumfordDivisor(u, _line(back[v0], back[v1])))
     return out
 

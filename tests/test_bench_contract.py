@@ -38,8 +38,8 @@ def perfbench(monkeypatch):
 
 
 def test_setup_probe_builds_the_workload_fields(perfbench):
-    probe, _ = perfbench
-    probe.build_fields((4, 5, 16))
+    probe, run = perfbench
+    probe.build_fields(sorted({q for work in run.WORKLOADS.values() for q in work.qs}))
 
 
 def test_tracing_wraps_and_restores_the_library(perfbench):

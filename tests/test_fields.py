@@ -24,6 +24,9 @@ from jacobicode.fields import (
 
 BUILTIN_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
               32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+# every p^a <= 1024 with p odd and a >= 2: the fields with a q x q addition table
+ODD_EXTENSION_QS = [9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 343, 361, 529,
+                    625, 729, 841, 961]
 
 
 def builtin_field(q: int) -> FiniteField:
@@ -156,6 +159,36 @@ class TestArithmetic:
         for x in range(1, q):
             for y in range(1, q):
                 assert exp2[log[x] + log[y]] == F._raw_mul(x, y)
+
+    @pytest.mark.parametrize("q", ODD_EXTENSION_QS)
+    def test_addition_is_digitwise_on_the_encoding(self, q):
+        """add, neg and sub against coordinatewise arithmetic mod p.
+
+        The axioms alone would pass a table that relabels the elements; this
+        pins the wire encoding.  Every row for q <= 243, else the rows of
+        each c * p^i, of q - 1 and of 64 seeded x.
+        """
+        F = builtin_field(q)
+        p = F.p
+        weights = [p ** i for i in range(F.a)]
+        digits = [F.coeffs(y) for y in range(q)]
+
+        def encode(c):
+            return sum(ci * w for ci, w in zip(c, weights))
+
+        negs = [encode([(p - c) % p for c in cy]) for cy in digits]
+        assert [F.neg(y) for y in range(q)] == negs
+        if q <= 243:
+            rows = range(q)
+        else:
+            rng = Random(q)
+            rows = sorted({c * w for w in weights for c in range(1, p)}
+                          | {q - 1} | {rng.randrange(q) for _ in range(64)})
+        for x in rows:
+            cx = digits[x]
+            expected = [encode([(s + t) % p for s, t in zip(cx, cy)]) for cy in digits]
+            assert [F.add(x, y) for y in range(q)] == expected, x
+            assert [F.sub(x, y) for y in range(q)] == [expected[negs[y]] for y in range(q)], x
 
     def test_pow_matches_repeated_product(self, f4):
         for x in f4.elements():

@@ -346,6 +346,10 @@ class TestScanOracle:
                 h = poly.trim([rng.randrange(q) for _ in range(3)])
                 f = tuple(rng.randrange(q) for _ in range(5)) + (1,)
                 models.append((F, h, f))
+        F25 = field_from_order(25)
+        for _ in range(2):  # h != 0 in an odd extension field: Horner on h over F_625
+            h = (rng.randrange(25), rng.randrange(25), rng.randrange(1, 25))
+            models.append((F25, h, tuple(rng.randrange(25) for _ in range(5)) + (1,)))
         singular = every_slope = 0
         for F, h, f in models:
             try:
