@@ -78,19 +78,16 @@ class CodeReport:
         }
 
 
-def code_params(w: WeilData, n1: int, r: int, *, allow_small_r: bool = False) -> CodeReport:
+def code_params(w: WeilData, n1: int, r: int) -> CodeReport:
     """Length, dimension and distance lower bound of the code for radius r.
 
     The translate system is only known to embed the surface for r >= 3;
-    r in {1, 2} is allowed with ``allow_small_r`` and flagged.  The report
-    is certified exactly when the Jacobian is simple and the bound is
-    positive; everything else still gets the arithmetic, with warnings.
+    r in {1, 2} is allowed and flagged.  The report is certified exactly
+    when the Jacobian is simple and the bound is positive; everything else
+    still gets the arithmetic, with warnings.
     """
     if r < 1:
         raise InvalidRError("need r >= 1")
-    if r < 3 and not allow_small_r:
-        raise InvalidRError(
-            f"r = {r} < 3 does not guarantee an embedding; pass allow_small_r=True")
     m = serre_constant(w.q)
     n = jacobian_order(w)
     k = r * r

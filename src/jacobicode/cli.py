@@ -39,7 +39,7 @@ from .explore import (
 )
 from .fields import field_from_order, prime_power
 from .mumford import enumerate_jacobian, translate_support_count, zero_sum_tuples
-from .polytext import parse_poly
+from .poly import parse_poly
 from .weil import jacobian_order, weil_from_counts
 
 SCHEMA = "1"
@@ -123,10 +123,10 @@ def _render_rows(rows: Sequence[TableRow], fmt: str, head: dict) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
+    if not args.r:
+        raise UsageError("empty --r list")
     curve = _curve_from_args(args)
     rows = analyze_curve(curve, args.r)
-    if not rows:
-        raise UsageError("empty --r list")
     head = {
         "curve": curve.to_dict(),
         "n1": rows[0].n1,

@@ -13,8 +13,9 @@ smoothness criterion applies per characteristic:
 Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
 read off the quadratic in y (square test in odd characteristic, trace test
 in characteristic 2).  One loop, Horner on the discrete-log tables of
-F_{q^k}, covers the nonzero x; x = 0 is read off ``quadratic_roots``, and
-the points at infinity of the smooth model are added per model kind.  Over
+F_{q^k}, covers the nonzero x; x = 0 and the points at infinity of a real
+model (z^2 + h3 z = f6 on the chart at infinity) are read off
+``quadratic_roots``, and an imaginary model has one point at infinity.  Over
 F_{q^2} the loop visits the image of F_q once and one x per Frobenius pair
 {x, x^q} outside F_q twice, since x^q has as many points above it as x.
 """
@@ -153,25 +154,12 @@ def _lifted(curve: CurveModel, k: int) -> tuple[FiniteField, tuple[int, ...], tu
     return emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
 
 
-def _infinity_count(curve: CurveModel, E: FiniteField, hh, ff) -> int:
-    if curve.is_imaginary:
-        return 1
-    if E.p == 2:
-        h3 = poly.coefficient(hh, 3)
-        f6 = poly.coefficient(ff, 6)
-        if h3 == 0:
-            return 1  # z^2 = f6 has exactly one solution
-        c = E.mul(f6, E.inv(E.mul(h3, h3)))
-        return 2 if E.trace_bit(c) == 0 else 0
-    lead = ff[-1]
-    return 2 if lead in E.nonzero_squares else 0
-
-
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     """Exhaustive number of points of the smooth model over F_{q^k}."""
     _check_budget(curve, k)
     E, hh, ff = _lifted(curve, k)
-    total = _infinity_count(curve, E, hh, ff)
+    # a real model has the roots z of z^2 + h3 z = f6 on the chart at infinity
+    total = 1 if curve.is_imaginary else len(E.quadratic_roots(poly.coefficient(hh, 3), ff[6]))
     total += len(E.quadratic_roots(poly.coefficient(hh, 0), poly.coefficient(ff, 0)))
     if k == 2:
         emb = extend_field(curve.field, 2, allow_large=True)

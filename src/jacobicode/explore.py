@@ -202,8 +202,7 @@ def csv_row(row: TableRow) -> tuple:
     )
 
 
-def analyze_curve(curve: CurveModel, r_values: Sequence[int],
-                  *, allow_small_r: bool = True) -> list[TableRow]:
+def analyze_curve(curve: CurveModel, r_values: Sequence[int]) -> list[TableRow]:
     """Full pipeline for one curve: counts, Weil data, one row per radius."""
     n1 = count_points(curve, 1).count
     n2 = count_points(curve, 2).count
@@ -211,7 +210,7 @@ def analyze_curve(curve: CurveModel, r_values: Sequence[int],
     verdict = classify_simplicity(w)
     rows = []
     for r in r_values:
-        report = code_params(w, n1, r, allow_small_r=allow_small_r)
+        report = code_params(w, n1, r)
         rows.append(TableRow(curve=curve, n1=n1, n2=n2, weil=w,
                              simplicity=verdict, report=report))
     return rows
@@ -237,8 +236,8 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     small space still makes about eight chunks per worker.
     """
     r_values = tuple(dict.fromkeys(r_values))
-    if any(not 1 <= r <= 6 for r in r_values):
-        raise JacobicodeError("radii must lie in 1..6")
+    if not r_values or any(not 1 <= r <= 6 for r in r_values):
+        raise JacobicodeError("radii must be a nonempty list in 1..6")
     encodings = _unique(space)
     workers = min(parallelism, os.cpu_count() or 1)
     if workers <= 1:

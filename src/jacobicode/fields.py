@@ -7,8 +7,10 @@ also the wire format.  Every field, prime fields included, multiplies
 through precomputed discrete-log tables, and the hot loops (point
 counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
-Python.  Odd extension fields with q <= 1024 also keep a q x q addition
-table, composed row by row from carry-free single-digit steps.
+Python.  In odd characteristic the same tables decide squares and give
+square roots: a nonzero x is a square iff log x is even.  Odd extension
+fields with q <= 1024 also keep a q x q addition table, composed row by
+row from carry-free single-digit steps.
 
 Default moduli are generated deterministically: for ``a >= 2`` the modulus
 of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
@@ -147,10 +149,12 @@ class FiniteField:
     multiplies, inverts and raises to powers through its discrete-log
     tables, exposed as the tuples ``log`` and ``exp2`` for hot loops: for
     nonzero x and y, ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is
-    meaningless).  Addition is XOR in characteristic 2, reduction mod p in
-    prime fields, and digitwise mod p otherwise, from a q x q table when
-    q <= 1024: row x is row x - p^i, for the lowest nonzero digit place
-    p^i of x, mapped through the carry-free permutation y -> y + p^i.
+    meaningless); in odd characteristic x is a square iff ``log[x]`` is
+    even, with square root ``exp2[log[x] >> 1]``.  Addition is XOR in
+    characteristic 2, reduction mod p in prime fields, and digitwise mod p
+    otherwise, from a q x q table when q <= 1024: row x is row x - p^i, for
+    the lowest nonzero digit place p^i of x, mapped through the carry-free
+    permutation y -> y + p^i.
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -341,9 +345,11 @@ class FiniteField:
 
     @cached_property
     def nonzero_squares(self) -> frozenset[int]:
-        """Set of nonzero squares; only meaningful in odd characteristic."""
-        mul = self.mul
-        return frozenset(mul(x, x) for x in range(1, self.q))
+        """Set of nonzero squares, the even powers of the generator.
+
+        The library does not read it; the benchmark probe and the tests do.
+        """
+        return frozenset(self.exp2[::2])
 
     @cached_property
     def _trace_mask(self) -> int:
@@ -364,7 +370,10 @@ class FiniteField:
         return mask
 
     def trace_bit(self, x: int) -> int:
-        """Absolute trace F_{2^a} -> F_2 of x; z^2 + z = x is solvable iff 0."""
+        """Absolute trace F_{2^a} -> F_2 of x; z^2 + z = x is solvable iff 0.
+
+        Like ``nonzero_squares``, read only by the benchmark probe and the tests.
+        """
         return (x & self._trace_mask).bit_count() & 1
 
     @cached_property
@@ -379,17 +388,6 @@ class FiniteField:
         return table
 
     @cached_property
-    def square_roots(self) -> list[int]:
-        """Table t with t[x*x] = smallest square root of x*x, -1 for non-squares."""
-        mul = self.mul
-        table = [-1] * self.q
-        for y in range(self.q):
-            s = mul(y, y)
-            if table[s] < 0:
-                table[s] = y
-        return table
-
-    @cached_property
     def _half(self) -> int:
         return self.inv(2)
 
@@ -398,7 +396,9 @@ class FiniteField:
 
         Characteristic 2: y = sqrt(c) when b = 0, else y = b*z with
         z^2 + z = c/b^2 (trace test).  Odd characteristic: complete the
-        square, (y + b/2)^2 = c + (b/2)^2.
+        square, (y + b/2)^2 = d with d = c + (b/2)^2, and read the root off
+        the log tables: a nonzero d is a square iff log d is even, and then
+        g^(log d / 2) squares to it.
         """
         if self.p == 2:
             if b == 0:
@@ -409,11 +409,12 @@ class FiniteField:
             y = self.mul(b, z0)
             return (y, self.add(y, b))
         m = self.mul(b, self._half)
-        r = self.square_roots[self.add(c, self.mul(m, m))]
-        if r < 0:
-            return ()
-        if r == 0:
+        d = self.add(c, self.mul(m, m))
+        if d == 0:
             return (self.neg(m),)
+        if self.log[d] & 1:
+            return ()
+        r = self.exp2[self.log[d] >> 1]
         return (self.sub(r, m), self.sub(self.neg(r), m))
 
 

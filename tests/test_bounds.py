@@ -234,17 +234,14 @@ class TestCodeParams:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                bounds = [code_params(w, n1, r, allow_small_r=True).d_lb
-                          for r in range(1, 6)]
+                bounds = [code_params(w, n1, r).d_lb for r in range(1, 6)]
                 assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_small_r_policy(self):
         w = weil_from_counts(2, 5, 5)
         with pytest.raises(InvalidRError):
-            code_params(w, 5, 2)
-        with pytest.raises(InvalidRError):
-            code_params(w, 5, 0, allow_small_r=True)
-        rep = code_params(w, 5, 2, allow_small_r=True)
+            code_params(w, 5, 0)
+        rep = code_params(w, 5, 2)
         assert "very-ample-not-guaranteed" in rep.warnings
 
     def test_certified_requires_simple_and_positive(self):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobicode import poly
+from jacobicode import explore, poly
 from jacobicode.cli import run_cli
 from jacobicode.fields import make_field
-from jacobicode.polytext import parse_poly
+from jacobicode.poly import parse_poly
 
 
 def invoke(argv):
@@ -96,6 +96,14 @@ class TestAnalyze:
     def test_missing_args_is_exit_1(self):
         code, _, err = invoke(["analyze", "--q", "2"])
         assert code == 1
+
+    def test_empty_radius_list_is_rejected_before_counting(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("counted points for an empty --r list")
+        monkeypatch.setattr(explore, "count_points", no_count)
+        code, out, err = invoke(["analyze", "--q", "2", "--h", "1",
+                                 "--f", "x^5+x^3", "--r", ","])
+        assert (code, out, err) == (1, "", "error: empty --r list\n")
 
 
 class TestBound:
@@ -202,6 +210,7 @@ class TestErrorContract:
         ["analyze", "--curve", '{"field":{"p":2,"a":1},"h":[0.5],"f":[0,0,0,1,0,1]}'],
         ["search", "--q", "2", "--modulus", "x"],
         ["search", "--q", "2", "--top", "-1"],
+        ["search", "--q", "2", "--r", ","],
         ["selftest"],
         ["bound", "--q", "1000000000000000003", "--tau", "0", "--pi", "3"],
         ["analyze", "--q", "1000000000000000003", "--h", "1", "--f", "x^5"],

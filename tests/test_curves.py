@@ -14,6 +14,7 @@ discrete-log tables and, over F_{q^2}, visits one x per Frobenius pair.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -23,7 +24,6 @@ from jacobicode.curves import (
     IMAGINARY,
     REAL,
     _check_budget,
-    _infinity_count,
     _lifted,
     count_points,
     validate_curve,
@@ -103,7 +103,11 @@ def brute_count(field, h, f, kind, k=1):
 def count_points_loop(curve, k):
     """The number of points over F_{q^k} from the roots in y above every x."""
     E, hh, ff = _lifted(curve, k)
-    total = _infinity_count(curve, E, hh, ff)
+    if curve.is_imaginary:
+        total = 1
+    else:  # scan z^2 + h3 z = f6 on the chart at infinity
+        h3, f6 = poly.coefficient(hh, 3), poly.coefficient(ff, 6)
+        total = sum(E.add(E.mul(z, z), E.mul(h3, z)) == f6 for z in E.elements())
     if E.p == 2:
         mul, inv, add = E.mul, E.inv, E.add
         mask = E._trace_mask
@@ -131,6 +135,44 @@ def count_points_loop(curve, k):
             elif fx in squares:
                 total += 2
     return total
+
+
+def draw_real_model(field, seed, accept):
+    """The first valid real model of a seeded draw that ``accept`` takes."""
+    rng = random.Random(seed)
+    q = field.q
+    for _ in range(10000):
+        h = tuple(rng.randrange(q) for _ in range(4))
+        f = tuple(rng.randrange(q) for _ in range(6)) + (1,)
+        try:
+            curve = validate_curve(field, h, f)
+        except JacobicodeError:
+            continue
+        if curve.kind == REAL and accept(curve):
+            return curve
+    raise AssertionError(f"no accepted real model over F_{q}")
+
+
+def seeded_real_models():
+    """One seeded real model per shape of the chart at infinity.
+
+    Over F_4 and F_8: h3 = 0 or not, crossed with h(0) = 0 or not.  Over F_9
+    and F_25: a square or a non-square leading coefficient after folding.
+    """
+    models = []
+    for q in (4, 8):
+        field = field_from_order(q)
+        for h3_zero in (True, False):
+            for h0_zero in (True, False):
+                models.append(draw_real_model(field, q, lambda c: (
+                    (poly.coefficient(c.h, 3) == 0) == h3_zero
+                    and (poly.coefficient(c.h, 0) == 0) == h0_zero)))
+    for q in (9, 25):
+        field = field_from_order(q)
+        squares = {field.mul(z, z) for z in range(1, q)}
+        for square in (True, False):
+            models.append(draw_real_model(field, q, lambda c: (c.f[-1] in squares) == square))
+    return models
 
 
 def _chart_polys(field, h, f):
@@ -306,14 +348,17 @@ class TestCounting:
             (F2, (1,), (0, 0, 0, 0, 0, 1, 1)),      # ramified infinity (h3 = 0)
             (F2, (0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)),  # split/inert infinity (h3 != 0)
         ]
+        curves = []
         for field, h, f in cases:
             try:
-                curve = validate_curve(field, h, f)
+                curves.append(validate_curve(field, h, f))
             except JacobicodeError:
                 continue
-            for k in (1, 2):
-                expected = brute_count(field, curve.h, curve.f, curve.kind, k)
-                assert count_points(curve, k).count == expected, (h, f, k)
+        curves += seeded_real_models()
+        for curve in curves:
+            for k in (1, 2) if curve.field.q <= 9 else (1,):
+                expected = brute_count(curve.field, curve.h, curve.f, curve.kind, k)
+                assert count_points(curve, k).count == expected, (curve, k)
 
     def test_odd_real_nonsquare_leading_coefficient(self):
         # force a non-monic normalized f: h = x^3, f = x^6 + ... over F_3

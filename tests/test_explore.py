@@ -10,7 +10,7 @@ import pytest
 
 from jacobicode import explore
 from jacobicode.curves import validate_curve
-from jacobicode.errors import SpaceTooLargeError
+from jacobicode.errors import JacobicodeError, SpaceTooLargeError
 from jacobicode.explore import (
     RANDOM,
     SearchSpace,
@@ -136,8 +136,13 @@ class TestBestCodes:
         parallel = best_codes(space, [3], parallelism=2)
         assert serial == parallel
 
-    def test_empty_radius_list(self, f2):
-        assert best_codes(SearchSpace(field=f2), []) == []
+    def test_empty_radius_list(self, f2, monkeypatch):
+        validated = []
+        monkeypatch.setattr(explore, "validate_curve",
+                            lambda *args: validated.append(args) or validate_curve(*args))
+        with pytest.raises(JacobicodeError):
+            best_codes(SearchSpace(field=f2), [])
+        assert validated == []
 
     def test_repeated_draws_and_radii_give_one_table(self, f2):
         # 256 candidates, 2000 draws: almost every candidate repeats

@@ -259,11 +259,6 @@ class TestStructureTables:
         assert F9.nonzero_squares == frozenset(scan)
 
     def test_root_tables(self):
-        F9 = make_field(3, 2)
-        for x in F9.elements():
-            r = F9.square_roots[x]
-            if r >= 0:
-                assert F9.mul(r, r) == x
         F8 = make_field(2, 3)
         for c in F8.elements():
             z = F8.artin_schreier_roots[c]
@@ -272,7 +267,7 @@ class TestStructureTables:
             else:
                 assert F8.trace_bit(c) == 1
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
     def test_quadratic_roots_match_brute_force(self, q):
         F = builtin_field(q)
         for b in F.elements():
