@@ -6,7 +6,8 @@ evaluation code on the surface has length the group order, dimension r^2
 at least n - max{N1 + (r^2-1)m, r N1} with m = [2 sqrt(q)].  That
 maximum over the ways a curve can split into components is computed in
 closed form; the exhaustive search over component decompositions that it
-is tested against lives in the tests.
+is tested against lives in the tests.  Every entry point accepts only the
+radii of that test, 1 <= r <= R_MAX (``check_radii``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,23 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvalidGenusError, InvalidRError, TraceHypothesisViolatedError
 from .weil import SimplicityVerdict, Verdict, WeilData, classify_simplicity, \
     jacobian_order, serre_constant
+
+
+R_MAX = 6  # the closed form is tested against the brute-force maximizer up to here
+
+
+def check_radii(r_values: Sequence[int]) -> None:
+    """Raise InvalidRError unless the radii are a nonempty list in 1..R_MAX."""
+    if not r_values:
+        raise InvalidRError("need at least one radius")
+    for r in r_values:
+        if not 1 <= r <= R_MAX:
+            raise InvalidRError(f"r must be in 1..{R_MAX}, got {r}")
 
 
 def weil_type_point_bound(q: int, tau: int, pi: int) -> int:
@@ -81,13 +95,12 @@ class CodeReport:
 def code_params(w: WeilData, n1: int, r: int) -> CodeReport:
     """Length, dimension and distance lower bound of the code for radius r.
 
-    The translate system is only known to embed the surface for r >= 3;
-    r in {1, 2} is allowed and flagged.  The report is certified exactly
-    when the Jacobian is simple and the bound is positive; everything else
-    still gets the arithmetic, with warnings.
+    r must lie in 1..R_MAX.  The translate system is only known to embed
+    the surface for r >= 3; r in {1, 2} is allowed and flagged.  The
+    report is certified exactly when the Jacobian is simple and the bound
+    is positive; everything else still gets the arithmetic, with warnings.
     """
-    if r < 1:
-        raise InvalidRError("need r >= 1")
+    check_radii((r,))
     m = serre_constant(w.q)
     n = jacobian_order(w)
     k = r * r

@@ -181,7 +181,7 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
     total = 0
     if E.p == 2:
         h_lead, h_rest = hh[-1], hh[-2::-1]
-        mask = E._trace_mask
+        solvable = E.artin_schreier_roots
         for x in xs:
             lx = log[x]
             hx = h_lead
@@ -193,8 +193,8 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
             fx = f_lead
             for c in f_rest:
                 fx = (exp2[log[fx] + lx] ^ c) if fx else c
-            # two roots iff trace(f(x) / h(x)^2) = 0
-            if fx == 0 or (exp2[(log[fx] - 2 * log[hx]) % n] & mask).bit_count() & 1 == 0:
+            # two roots iff z^2 + z = f(x) / h(x)^2 is solvable (trace 0)
+            if fx == 0 or solvable[exp2[(log[fx] - 2 * log[hx]) % n]] >= 0:
                 total += 2
     else:
         add = E.add

@@ -28,12 +28,11 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from . import poly
-from .bounds import CodeReport, code_params
+from .bounds import CodeReport, check_radii, code_params
 from .curves import IMAGINARY, REAL, CurveModel, count_points, validate_curve
 from .errors import (
     GenusNotTwoError,
     InvalidSearchSpaceError,
-    JacobicodeError,
     SingularModelError,
     SpaceTooLargeError,
     WrongDegreeError,
@@ -203,7 +202,11 @@ def csv_row(row: TableRow) -> tuple:
 
 
 def analyze_curve(curve: CurveModel, r_values: Sequence[int]) -> list[TableRow]:
-    """Full pipeline for one curve: counts, Weil data, one row per radius."""
+    """Full pipeline for one curve: counts, Weil data, one row per radius.
+
+    The radii are checked before anything is counted.
+    """
+    check_radii(r_values)
     n1 = count_points(curve, 1).count
     n2 = count_points(curve, 2).count
     w = weil_from_counts(curve.field.q, n1, n2)
@@ -236,8 +239,7 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     small space still makes about eight chunks per worker.
     """
     r_values = tuple(dict.fromkeys(r_values))
-    if not r_values or any(not 1 <= r <= 6 for r in r_values):
-        raise JacobicodeError("radii must be a nonempty list in 1..6")
+    check_radii(r_values)
     encodings = _unique(space)
     workers = min(parallelism, os.cpu_count() or 1)
     if workers <= 1:

@@ -351,30 +351,12 @@ class FiniteField:
         """
         return frozenset(self.exp2[::2])
 
-    @cached_property
-    def _trace_mask(self) -> int:
-        """Bit mask m with trace(x) = popcount(x & m) mod 2; characteristic 2 only."""
-        mul = self.mul
-        mask = 0
-        for i in range(self.a):
-            basis = 1 << i
-            t = 0
-            x = basis
-            for _ in range(self.a):
-                t ^= x
-                x = mul(x, x)
-            if t == 1:
-                mask |= 1 << i
-            elif t != 0:
-                raise AssertionError("trace of a basis element must be 0 or 1")
-        return mask
-
     def trace_bit(self, x: int) -> int:
         """Absolute trace F_{2^a} -> F_2 of x; z^2 + z = x is solvable iff 0.
 
         Like ``nonzero_squares``, read only by the benchmark probe and the tests.
         """
-        return (x & self._trace_mask).bit_count() & 1
+        return int(self.artin_schreier_roots[x] < 0)
 
     @cached_property
     def artin_schreier_roots(self) -> list[int]:
@@ -450,13 +432,12 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, a
 
 
-def field_from_order(q: int, modulus: Iterable[int] | None = None,
-                     *, allow_large: bool = False) -> FiniteField:
+def field_from_order(q: int, modulus: Iterable[int] | None = None) -> FiniteField:
     """F_q for a prime power q = p^a."""
-    if q > SIZE_CAP and not allow_large:
+    if q > SIZE_CAP:
         raise FieldTooLargeError(f"q = {q} exceeds the cap {SIZE_CAP}")
     p, a = prime_power(q)
-    return make_field(p, a, modulus, allow_large=allow_large)
+    return make_field(p, a, modulus)
 
 
 class FieldEmbedding:

@@ -1,11 +1,12 @@
 """Jacobian group oracle for imaginary genus-2 models.
 
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
-2, deg v < deg u, and u dividing v^2 + h v - f.  The group law adds and
-doubles by explicit formulas in the generic cases, where one operand has
-degree 2, and falls back to Cantor's composition-and-reduction for the
-rest, such as two u with a common root; Cantor's algorithm is also the
-tests' oracle for the formulas.  The whole group is enumerated by solving the
+2, deg v < deg u, and u dividing v^2 + h v - f.  The group law adds two
+classes with coprime u, and doubles a class whose u is coprime to
+2v + h, by explicit formulas whatever the degrees, and falls back to
+Cantor's composition-and-reduction for the rest: u with a common root,
+and doubles at a Weierstrass point; Cantor's algorithm is also the tests'
+oracle for the formulas.  The whole group is enumerated by solving the
 divisibility condition per u: v must take a root y of y^2 + h(x) y = f(x)
 at each root x of u (Cantor 1987), so the classes come from the points
 over F_q (split u, including a double root lifted to second order) and
@@ -88,13 +89,13 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
     """Group law: explicit formulas where they apply, Cantor's algorithm otherwise.
 
     The identity and a class plus its negative are read off directly.  The
-    sum of a degree-2 class and a class whose u is coprime to it, and the
-    double of a degree-2 class with u coprime to 2v + h, take one
-    composition and one reduction step (Lange 2005, affine, any h).  Every
-    other pair -- two degree-1 classes, u1 and u2 with a common root, equal
-    u with unrelated v, a double whose u shares a root with 2v + h -- goes
-    through Cantor's composition and reduction.  A pair whose sum would
-    need an inexact division raises InvalidDivisorError on either path.
+    sum of two classes with coprime u, and the double of a class whose u is
+    coprime to 2v + h, take one composition and one reduction step (Lange
+    2005, affine, any h), whatever the degrees.  The rest -- u1 and u2 with
+    a common root, equal u with unrelated v, a double whose u shares a root
+    with 2v + h -- goes through Cantor's composition and reduction.  A pair
+    whose sum would need an inexact division raises InvalidDivisorError on
+    either path.
     """
     _require_imaginary(curve)
     if d1.u == (1,):
@@ -103,28 +104,24 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
         return d1
     if len(d1.u) > len(d2.u):
         d1, d2 = d2, d1
-    out = None
-    if len(d2.u) == 3:
-        out = _explicit_sum(curve, d1, d2)
-    elif d1.u == d2.u:
-        F = curve.field
-        if not poly.mod(F, poly.add(F, poly.add(F, d1.v, d2.v), curve.h), d1.u):
-            out = IDENTITY
+    out = _explicit_sum(curve, d1, d2)
     return _cantor(curve, d1, d2) if out is None else out
 
 
 def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
                   d2: MumfordDivisor) -> MumfordDivisor | None:
-    """d1 + d2 for deg u2 = 2 in one composition and one reduction step.
+    """d1 + d2, deg u1 <= deg u2: one composition, at most one reduction step.
 
     The identity when u1 == u2 and v1 + v2 + h = 0 mod u.  Otherwise V
-    solves V = v1 mod u1 and, modulo m, V = v2 (add: m = u2 != u1, deg u1
-    is 1 or 2) or V = v1 to second order (double: v1 == v2, m = u):
+    solves V = v1 mod u1 and, modulo m, V = v2 (add: m = u2 != u1) or
+    V = v1 to second order (double: v1 == v2, m = u):
 
     * add: V = v1 + s u1 with s = (v2 - v1) / u1 mod u2;
     * double: V = v + s u with s = k / (2v + h) mod u, k = (f - h v - v^2) / u.
 
-    With U = u1 m, the sum is u' = monic((f - h V - V^2) / U) and
+    With U = u1 m, a composition of degree 2 (two points with distinct x,
+    or a point doubled) is already reduced and (U, V) is the sum.
+    Otherwise the sum is u' = monic((f - h V - V^2) / U) and
     v' = (-h - V) mod u'; u' has degree 1 when deg U = 4 and s is
     constant.  Returns None when the divisor w of s shares a root with m
     (their resultant is 0), and when u1 == u2 with unrelated v1 and v2.
@@ -143,7 +140,8 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     else:
         w, t = poly.mod(F, u1, m), poly.sub(F, d2.v, v1)
 
-    # 1/w mod m = (-w1 x + w0 - w1 m1) / r, with r = Res(m, w)
+    # 1/w mod m = (-w1 x + w0 - w1 m1) / r, with r = Res(m, w) for deg m = 2;
+    # for deg m = 1, w is a constant w0 and the formula gives w0 / w0^2 = 1/w0
     add, sub, mul = F.add, F.sub, F.mul
     w0, w1 = poly.coefficient(w, 0), poly.coefficient(w, 1)
     m0, m1 = m[0], m[1]
@@ -155,9 +153,12 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
 
     V = poly.add(F, v1, poly.mul(F, s, u1))
     N = poly.sub(F, f, poly.add(F, poly.mul(F, h, V), poly.mul(F, V, V)))
-    u, rem = poly.divmod_(F, N, poly.mul(F, u1, m))
+    U = poly.mul(F, u1, m)
+    u, rem = poly.divmod_(F, N, U)
     if rem:
         raise InvalidDivisorError("(f - h V - V^2) is not divisible by u1 u2")
+    if len(U) == 3:
+        return MumfordDivisor(U, V)
     u = poly.monic(F, u)
     return MumfordDivisor(u, poly.mod(F, poly.neg(F, poly.add(F, h, V)), u))
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from jacobicode.bounds import (
+    R_MAX,
     Branch,
     code_params,
     distance_threshold,
@@ -239,8 +240,12 @@ class TestCodeParams:
 
     def test_small_r_policy(self):
         w = weil_from_counts(2, 5, 5)
-        with pytest.raises(InvalidRError):
-            code_params(w, 5, 0)
+        # the policy covers exactly the radii the brute-force oracle checks
+        assert R_MAX == BRUTEFORCE_R_CAP
+        for r in (0, R_MAX + 1):
+            with pytest.raises(InvalidRError):
+                code_params(w, 5, r)
+        assert code_params(w, 5, R_MAX).k == R_MAX ** 2
         rep = code_params(w, 5, 2)
         assert "very-ample-not-guaranteed" in rep.warnings
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -105,6 +106,16 @@ class TestAnalyze:
                                  "--f", "x^5+x^3", "--r", ","])
         assert (code, out, err) == (1, "", "error: empty --r list\n")
 
+    @pytest.mark.parametrize("command,r", [("analyze", "1000000"), ("attain", "7")])
+    def test_radius_beyond_the_policy_is_rejected_before_counting(self, monkeypatch,
+                                                                  command, r):
+        def no_count(*args):
+            raise AssertionError(f"counted points for r = {r}")
+        monkeypatch.setattr(explore, "count_points", no_count)
+        code, out, err = invoke([command, "--q", "2", "--h", "1", "--f", "x^5+x^3",
+                                 "--r", r])
+        assert (code, out, err) == (1, "", f"error: r must be in 1..6, got {r}\n")
+
 
 class TestBound:
     def test_text_output(self):
@@ -190,6 +201,18 @@ class TestSearch:
         assert run_cli(["search", *argv.split(), "--output", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
+    def test_readme_f16_search(self, tmp_path):
+        # the README's F_16 command: its top row is a certified [526, 9, >= 433]
+        # code at N1 = 29 (the one N1 = 33 model of the same draws is not simple)
+        path = tmp_path / "table.csv"
+        argv = "--q 16 --r 3 --random --trials 5000 --seed 2024 --top 10 --format csv"
+        assert run_cli(["search", *argv.split(), "--output", str(path)]) == 0
+        text = path.read_bytes()
+        assert hashlib.sha256(text).hexdigest()[:16] == "251d732ecba10933"
+        top = next(csv.DictReader(io.StringIO(text.decode())))
+        assert (top["certified"], top["N1"]) == ("True", "29")
+        assert (top["n"], top["k"], top["d_lb"]) == ("526", "9", "433")
+
     def test_random_needs_seed(self):
         code, _, err = invoke(["search", "--q", "2", "--random", "--trials", "5"])
         assert code == 1
@@ -217,6 +240,8 @@ class TestErrorContract:
         ["analyze", "--curve",
          '{"field":{"p":1000000000000000003,"a":1},"h":[1],"f":[0,0,0,1,0,1]}'],
         ["analyze", "--curve", '{"field":{"p":2,"a":100000000000},"h":[1],"f":[0,0,0,1,0,1]}'],
+        ["analyze", "--q", "2", "--h", "1", "--f", "x^5+x^3", "--r", "1000000"],
+        ["attain", "--q", "2", "--h", "1", "--f", "x^5+x^3", "--r", "7"],
     ])
     def test_bad_input_is_one_line_error(self, argv):
         code, out, err = invoke(argv)

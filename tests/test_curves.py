@@ -110,7 +110,13 @@ def count_points_loop(curve, k):
         total = sum(E.add(E.mul(z, z), E.mul(h3, z)) == f6 for z in E.elements())
     if E.p == 2:
         mul, inv, add = E.mul, E.inv, E.add
-        mask = E._trace_mask
+
+        def trace(c):  # c + c^2 + ... + c^(2^(a-1)), from the definition
+            t = 0
+            for _ in range(E.a):
+                t, c = add(t, c), mul(c, c)
+            return t
+
         # inline Horner per x; h is short so this dominates nothing
         for x in E.elements():
             fx = 0
@@ -121,7 +127,7 @@ def count_points_loop(curve, k):
                 hx = add(mul(hx, x), c)
             if hx == 0:
                 total += 1
-            elif (mul(fx, inv(mul(hx, hx))) & mask).bit_count() & 1 == 0:
+            elif trace(mul(fx, inv(mul(hx, hx)))) == 0:
                 total += 2
     else:
         mul, add = E.mul, E.add

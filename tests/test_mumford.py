@@ -191,15 +191,16 @@ SAMPLED_PAIRS = 150
 
 
 def needs_cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> bool:
-    """Whether the explicit formulas leave the sum of two valid classes to Cantor."""
+    """Whether the explicit formulas leave the sum of two valid classes to Cantor:
+    u with a common root, or equal u that are neither inverse nor a double
+    with u prime to 2v + h."""
     F = curve.field
     if IDENTITY in (d1, d2):
         return False
     if d1.u == d2.u:
         w = poly.mod(F, poly.add(F, poly.add(F, d1.v, d2.v), curve.h), d1.u)
-        return bool(w) and (d1.degree == 1 or d1.v != d2.v
-                            or poly.degree(poly.gcd(F, d1.u, w)) > 0)
-    return d1.degree == d2.degree == 1 or poly.degree(poly.gcd(F, d1.u, d2.u)) > 0
+        return bool(w) and (d1.v != d2.v or poly.degree(poly.gcd(F, d1.u, w)) > 0)
+    return poly.degree(poly.gcd(F, d1.u, d2.u)) > 0
 
 
 def branch(d1: MumfordDivisor, d2: MumfordDivisor, out: MumfordDivisor,
