@@ -34,7 +34,7 @@ from .errors import (
 
 SIZE_CAP = 1 << 16
 
-_OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_"})
+_OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_", "quadratic_roots"})
 _TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, built with the ops
 
 
@@ -154,7 +154,12 @@ class FiniteField:
     characteristic 2, reduction mod p in prime fields, and digitwise mod p
     otherwise, from a q x q table when q <= 1024: row x is row x - p^i, for
     the lowest nonzero digit place p^i of x, mapped through the carry-free
-    permutation y -> y + p^i.
+    permutation y -> y + p^i.  ``quadratic_roots(b, c)``, installed with the
+    ops, returns the distinct roots y of y^2 + b*y = c: in characteristic 2
+    y = sqrt(c) = c^(q/2) when b = 0, else y = b*z with z^2 + z = c/b^2,
+    read off ``artin_schreier_roots`` (built on first use); in odd
+    characteristic (y + b/2)^2 = c + (b/2)^2, and the square root comes off
+    the log tables.
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -320,17 +325,50 @@ class FiniteField:
 
                 def add(x, y):
                     return addtab[x][y]
+
+                def sub(x, y):
+                    return addtab[x][negtab[y]]
             else:
                 def add(x, y):
                     cx = _digits(x, p, a)
                     cy = _digits(y, p, a)
                     return _undigits([(u + v) % p for u, v in zip(cx, cy)], p)
 
-            def sub(x, y):
-                return add(x, neg(y))
+                def sub(x, y):
+                    return add(x, negtab[y])
+
+        # the distinct roots y of y^2 + b y = c, for any b and c
+        if p == 2:
+            half = q // 2  # squaring is bijective, and sqrt(c) = c^(q/2)
+
+            def quadratic_roots(b, c):
+                if not b:
+                    return (exp2[log[c] * half % n] if c else 0,)
+                if not c:
+                    return (0, b)
+                # y = b z with z^2 + z = c / b^2: solvable iff its trace is 0
+                z = self.artin_schreier_roots[exp2[(log[c] - 2 * log[b]) % n]]
+                if z < 0:
+                    return ()
+                y = exp2[log[b] + log[z]]
+                return (y, y ^ b)
+        else:
+            log_half = log[(p + 1) // 2]  # 1/2 lies in the prime field
+
+            def quadratic_roots(b, c):
+                # complete the square: (y + m)^2 = d with m = b/2, d = c + m^2;
+                # a nonzero d is a square iff log d is even
+                m = exp2[log[b] + log_half] if b else 0
+                d = add(c, exp2[2 * log[m]]) if m else c
+                if not d:
+                    return (neg(m),)
+                if log[d] & 1:
+                    return ()
+                r = exp2[log[d] >> 1]
+                return (sub(r, m), sub(neg(r), m))
 
         self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow_=pow_,
-                             log=log, exp2=exp2)
+                             quadratic_roots=quadratic_roots, log=log, exp2=exp2)
 
     def _find_generator(self) -> int:
         q = self.q
@@ -368,36 +406,6 @@ class FiniteField:
             if table[c] < 0:
                 table[c] = z
         return table
-
-    @cached_property
-    def _half(self) -> int:
-        return self.inv(2)
-
-    def quadratic_roots(self, b: int, c: int) -> tuple[int, ...]:
-        """The distinct roots y of y^2 + b*y = c, for any b and c.
-
-        Characteristic 2: y = sqrt(c) when b = 0, else y = b*z with
-        z^2 + z = c/b^2 (trace test).  Odd characteristic: complete the
-        square, (y + b/2)^2 = d with d = c + (b/2)^2, and read the root off
-        the log tables: a nonzero d is a square iff log d is even, and then
-        g^(log d / 2) squares to it.
-        """
-        if self.p == 2:
-            if b == 0:
-                return (self.pow_(c, self.q // 2),)  # squaring is bijective
-            z0 = self.artin_schreier_roots[self.mul(c, self.inv(self.mul(b, b)))]
-            if z0 < 0:
-                return ()
-            y = self.mul(b, z0)
-            return (y, self.add(y, b))
-        m = self.mul(b, self._half)
-        d = self.add(c, self.mul(m, m))
-        if d == 0:
-            return (self.neg(m),)
-        if self.log[d] & 1:
-            return ()
-        r = self.exp2[self.log[d] >> 1]
-        return (self.sub(r, m), self.sub(self.neg(r), m))
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,13 @@ divisibility condition per u: v must take a root y of y^2 + h(x) y = f(x)
 at each root x of u (Cantor 1987), so the classes come from the points
 over F_q (split u, including a double root lifted to second order) and
 over F_{q^2} (irreducible u, one point per Frobenius pair) in O(q^2) field
-operations.  The resulting cardinality is cross-checked against the order
-predicted by the Weil polynomial -- a mismatch raises the OrderMismatch
-tripwire, it can only mean an implementation bug or a corrupt model.
+operations, with products and quotients on the discrete-log tables.  The
+classes are made once, as flat int tuples that sort in the wire order
+with no key function, and wrapped once as MumfordDivisor records, a
+NamedTuple of the coefficient tuples u and v.  The resulting cardinality
+is cross-checked against the order predicted by the Weil polynomial -- a
+mismatch raises the OrderMismatch tripwire, it can only mean an
+implementation bug or a corrupt model.
 
 The curve sits inside its Jacobian through the base point at infinity:
 an affine point (x0, y0) maps to (x - x0, y0) and infinity to the
@@ -22,9 +26,8 @@ identity.  The image is the theta set, the degree <= 1 classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
 from .curves import CurveModel, count_points
@@ -35,15 +38,18 @@ from .errors import (
     OrderMismatchError,
     RealModelUnsupportedError,
 )
-from .fields import extend_field
+from .fields import FiniteField, extend_field
 from .weil import jacobian_order, weil_from_counts
 
 JACOBIAN_Q_CAP = 64
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
-    """Reduced divisor class (u, v); the identity is ((1,), ())."""
+class MumfordDivisor(NamedTuple):
+    """Reduced divisor class (u, v); the identity is ((1,), ()).
+
+    A tuple, so records compare by (u, v); the enumeration order is
+    (deg u, u, v).
+    """
 
     u: tuple[int, ...]
     v: tuple[int, ...]
@@ -51,9 +57,6 @@ class MumfordDivisor:
     @property
     def degree(self) -> int:
         return len(self.u) - 1
-
-    def sort_key(self) -> tuple:
-        return (len(self.u), self.u, self.v)
 
     def to_dict(self) -> dict:
         return {"u": list(self.u), "v": list(self.v)}
@@ -74,9 +77,14 @@ def check_divisor(curve: CurveModel, d: MumfordDivisor) -> None:
         raise InvalidDivisorError("v must have degree below deg u")
     if any(not 0 <= c < F.q for c in u + v):
         raise InvalidDivisorError("coefficients must be encodings below q")
-    lhs = poly.add(F, poly.mul(F, v, v), poly.mul(F, curve.h, v))
-    if poly.mod(F, poly.sub(F, lhs, curve.f), u):
+    if poly.mod(F, _norm(curve, v), u):
         raise InvalidDivisorError("u does not divide v^2 + h v - f")
+
+
+def _norm(curve: CurveModel, v: Sequence[int]) -> tuple[int, ...]:
+    """f - h v - v^2, which u divides exactly when (u, v) is a class."""
+    F = curve.field
+    return poly.sub(F, curve.f, poly.add(F, poly.mul(F, curve.h, v), poly.mul(F, v, v)))
 
 
 def _require_imaginary(curve: CurveModel) -> None:
@@ -95,7 +103,10 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
     a common root, equal u with unrelated v, a double whose u shares a root
     with 2v + h -- goes through Cantor's composition and reduction.  A pair
     whose sum would need an inexact division raises InvalidDivisorError on
-    either path.
+    either path.  Inputs are not validated beyond that (``check_divisor``
+    does): the identity returns the other operand as it is, and a class
+    plus its formal negative (equal u, v1 + v2 + h = 0 mod u) is the
+    identity, on the curve or not -- (x, 0) + (x, 0) when h(0) = 0.
     """
     _require_imaginary(curve)
     if d1.u == (1,):
@@ -127,7 +138,7 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     (their resultant is 0), and when u1 == u2 with unrelated v1 and v2.
     """
     F = curve.field
-    h, f = curve.h, curve.f
+    h = curve.h
     u1, v1, m = d1.u, d1.v, d2.u
     if u1 == m:
         w = poly.mod(F, poly.add(F, poly.add(F, v1, d2.v), h), m)
@@ -135,8 +146,7 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
             return IDENTITY
         if v1 != d2.v:
             return None
-        hv = poly.add(F, poly.mul(F, h, v1), poly.mul(F, v1, v1))
-        t = poly.divmod_(F, poly.sub(F, f, hv), m)[0]  # the remainder is checked below
+        t = poly.divmod_(F, _norm(curve, v1), m)[0]  # the remainder is checked below
     else:
         w, t = poly.mod(F, u1, m), poly.sub(F, d2.v, v1)
 
@@ -152,9 +162,8 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     s = poly.scale(F, poly.mod(F, poly.mul(F, t, adj), m), F.inv(r))
 
     V = poly.add(F, v1, poly.mul(F, s, u1))
-    N = poly.sub(F, f, poly.add(F, poly.mul(F, h, V), poly.mul(F, V, V)))
     U = poly.mul(F, u1, m)
-    u, rem = poly.divmod_(F, N, U)
+    u, rem = poly.divmod_(F, _norm(curve, V), U)
     if rem:
         raise InvalidDivisorError("(f - h V - V^2) is not divisible by u1 u2")
     if len(U) == 3:
@@ -165,7 +174,16 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
 
 def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     """Cantor's group law: compose through the three-term gcd, then reduce
-    to degree <= 2."""
+    to degree <= 2.
+
+    Each reduction step divides f - h v - v^2 by u exactly, which checks
+    the inputs; a composition of degree <= 2 takes no step, so u | f - h v
+    - v^2 is checked on it directly, and either failure raises
+    InvalidDivisorError.  A composition u = 1 passes trivially: a class
+    plus its formal negative, such as (x, 0) + (x, 0) when h(0) = 0, is
+    the identity whether or not it lies on the curve (``check_divisor``
+    validates inputs).
+    """
     F = curve.field
     h, f = curve.h, curve.f
     u1, v1 = d1.u, d1.v
@@ -187,9 +205,10 @@ def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mumfor
             poly.mul(F, s3, poly.add(F, poly.mul(F, v1, v2), f)),
         )
         v = poly.mod(F, poly.exact_div(F, num, d), u)
+        if poly.degree(u) <= 2 and poly.mod(F, _norm(curve, v), u):
+            raise InvalidDivisorError("u does not divide f - h v - v^2")
         while poly.degree(u) > 2:
-            numer = poly.sub(F, poly.sub(F, f, poly.mul(F, v, h)), poly.mul(F, v, v))
-            u_next = poly.exact_div(F, numer, u)
+            u_next = poly.exact_div(F, _norm(curve, v), u)
             v = poly.mod(F, poly.neg(F, poly.add(F, h, v)), u_next)
             u = u_next
         u = poly.monic(F, u)
@@ -227,52 +246,78 @@ def in_theta(d: MumfordDivisor) -> bool:
     return len(d.u) <= 2
 
 
-def _line(v0: int, v1: int) -> tuple[int, ...]:
-    """The trimmed coefficient tuple of v = v0 + v1 x."""
-    return (v0, v1) if v1 else ((v0,) if v0 else ())
+def _horner(E: FiniteField, coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """The values of a polynomial at the nonzero xs, by Horner on the log
+    tables of E (XOR in characteristic 2)."""
+    log, exp2, add = E.log, E.exp2, E.add
+    desc = coeffs[::-1]
+    out = []
+    if E.p == 2:
+        for x in xs:
+            lx, acc = log[x], 0
+            for c in desc:
+                acc = (exp2[log[acc] + lx] ^ c) if acc else c
+            out.append(acc)
+    else:
+        for x in xs:
+            lx, acc = log[x], 0
+            for c in desc:
+                acc = add(exp2[log[acc] + lx], c) if acc else c
+            out.append(acc)
+    return out
 
 
 def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
-    """Every (u, v) with u monic, deg v < deg u <= 2 and u | v^2 + h v - f.
+    """Every (u, v) with u monic, deg v < deg u <= 2 and u | v^2 + h v - f,
+    sorted by (deg u, u, v).
 
     Solved per u from the roots y of y^2 + h(x) y = f(x) at the roots x of
-    u; exact for any model, validated or not.
+    u; exact for any model, validated or not.  The classes are collected as
+    flat int tuples, (u0, y) for u = x + u0 and v = y, and (u0, u1, v0, v1)
+    for u = x^2 + u1 x + u0 and v = v0 + v1 x: trimming v only drops
+    trailing zeros, so the natural order of these tuples is the (u, v) order
+    of the trimmed coefficient tuples, and they sort with no key function.
+    Products and quotients run on the log tables of F_q and F_{q^2}.
     """
     F = curve.field
-    q = F.q
+    q, n = F.q, F.q - 1
     h, f = curve.h, curve.f
-    add, sub, mul, neg, inv = F.add, F.sub, F.mul, F.neg, F.inv
+    log, exp2 = F.log, F.exp2
+    add, sub, neg = F.add, F.sub, F.neg
     solve = F.quadratic_roots
-    out = [IDENTITY]
 
     # u = x - a: v is a root y over a
-    roots = [solve(poly.evaluate(F, h, a), poly.evaluate(F, f, a)) for a in range(q)]
-    for a, ys in enumerate(roots):
-        for y in ys:
-            out.append(MumfordDivisor((neg(a), 1), _line(y, 0)))
+    xs = range(1, q)
+    hs = [poly.coefficient(h, 0)] + _horner(F, h, xs)
+    fs = [poly.coefficient(f, 0)] + _horner(F, f, xs)
+    roots = [solve(hs[a], fs[a]) for a in range(q)]
+    points = [(neg(a), y) for a, ys in enumerate(roots) for y in ys]
 
-    # u = (x - a)(x - b), a != b: v is the line through (a, y_a) and (b, y_b)
-    for a in range(q):
-        for b in range(a + 1, q):
-            if not roots[a] or not roots[b]:
-                continue
-            u = (mul(a, b), neg(add(a, b)), 1)
-            w = inv(sub(a, b))
-            for ya in roots[a]:
-                for yb in roots[b]:
-                    v1 = mul(sub(ya, yb), w)
-                    out.append(MumfordDivisor(u, _line(sub(ya, mul(v1, a)), v1)))
+    # u = (x - a)(x - b), a < b: v is the line through (a, y_a) and (b, y_b),
+    # v1 = (y_a - y_b) / (a - b) and v0 = y_a - v1 a
+    pairs = []
+    above = [(a, log[a], ys) for a, ys in enumerate(roots) if ys]
+    for i, (a, la, ya_s) in enumerate(above):
+        for b, lb, yb_s in above[i + 1:]:  # b > a >= 0, so only a can be 0
+            u0 = exp2[la + lb] if a else 0
+            u1 = neg(add(a, b))
+            lw = n - log[sub(a, b)]
+            for ya in ya_s:
+                for yb in yb_s:
+                    d = sub(ya, yb)
+                    v1 = exp2[log[d] + lw] if d else 0
+                    pairs.append((u0, u1, sub(ya, exp2[log[v1] + la]) if v1 and a else ya, v1))
 
     # u = (x - a)^2: v = y + v1 (x - a) with (2y + h(a)) v1 = f'(a) - h'(a) y
+    mul, inv = F.mul, F.inv
     dh, df = poly.derivative(F, h), poly.derivative(F, f)
     for a, ys in enumerate(roots):
         if not ys:
             continue
-        u = (mul(a, a), neg(add(a, a)), 1)
-        ha = poly.evaluate(F, h, a)
+        u0, u1 = mul(a, a), neg(add(a, a))
         dha, dfa = poly.evaluate(F, dh, a), poly.evaluate(F, df, a)
         for y in ys:
-            coef = add(add(y, y), ha)
+            coef = add(add(y, y), hs[a])
             rhs = sub(dfa, mul(dha, y))
             if coef:
                 lifts = (mul(rhs, inv(coef)),)
@@ -281,35 +326,41 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
             else:
                 lifts = ()
             for v1 in lifts:
-                out.append(MumfordDivisor(u, _line(sub(y, mul(v1, a)), v1)))
+                pairs.append((u0, u1, sub(y, mul(v1, a)), v1))
 
     # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
     # (the pair list point counting uses); v is the F_q-line through (x, y)
-    # and (x^q, y^q).  The loop runs on the discrete-log tables of F_{q^2}:
-    # x^q, the norm x^(q+1), h(x) and f(x) by Horner, and 1/(x - x^q) as a log.
+    # and (x^q, y^q), v1 = (y - y^q) / (x - x^q) and v0 = y - v1 x.  x^q,
+    # the norm x^(q+1) and 1/(x - x^q) come off the log tables of F_{q^2}.
     emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
     back = emb.preimage
-    log, exp2, n = E.log, E.exp2, E.q - 1
-    eadd, esub = E.add, E.sub
-    h_desc, f_desc = emb.map_poly(h)[::-1], emb.map_poly(f)[::-1]
-    for x in emb.frobenius_pairs:
-        lx = log[x]
-        lxq = lx * q % n
-        xq = exp2[lxq]
-        u = (back[exp2[lx + lxq]], back[E.neg(eadd(x, xq))], 1)
-        lw = n - log[esub(x, xq)]
-        hx = fx = 0
-        for c in h_desc:
-            hx = eadd(exp2[log[hx] + lx], c) if hx else c
-        for c in f_desc:
-            fx = eadd(exp2[log[fx] + lx], c) if fx else c
-        for y in E.quadratic_roots(hx, fx):
-            d = esub(y, exp2[log[y] * q % n]) if y else 0
-            v1 = exp2[log[d] + lw] if d else 0
-            v0 = esub(y, exp2[log[v1] + lx]) if v1 else y
-            out.append(MumfordDivisor(u, _line(back[v0], back[v1])))
-    return out
+    elog, eexp2, en = E.log, E.exp2, E.q - 1
+    eadd, esub, eneg = E.add, E.sub, E.neg
+    esolve = E.quadratic_roots
+    xs = emb.frobenius_pairs
+    for x, hx, fx in zip(xs, _horner(E, emb.map_poly(h), xs), _horner(E, emb.map_poly(f), xs)):
+        ys = esolve(hx, fx)
+        if not ys:
+            continue
+        lx = elog[x]
+        lxq = lx * q % en
+        xq = eexp2[lxq]
+        u0, u1 = back[eexp2[lx + lxq]], back[eneg(eadd(x, xq))]
+        lw = en - elog[esub(x, xq)]
+        for y in ys:
+            d = esub(y, eexp2[elog[y] * q % en]) if y else 0
+            v1 = eexp2[elog[d] + lw] if d else 0
+            v0 = esub(y, eexp2[elog[v1] + lx]) if v1 else y
+            pairs.append((u0, u1, back[v0], back[v1]))
+
+    points.sort()
+    pairs.sort()
+    wrap = MumfordDivisor._make  # tuple.__new__, without the keyword-aware constructor
+    return [IDENTITY,
+            *[wrap(((u0, 1), (y,) if y else ())) for u0, y in points],
+            *[wrap(((u0, u1, 1), (v0, v1) if v1 else ((v0,) if v0 else ())))
+              for u0, u1, v0, v1 in pairs]]
 
 
 @lru_cache(maxsize=256)
@@ -324,7 +375,9 @@ def enumerate_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     Every solution is produced exactly once, so the list equals the
     exhaustive (u, v) scan.  A conjugate pair {P, iota(P)} admits no
     interpolating v and a doubled Weierstrass point has no slope, so each
-    class of a smooth model appears once; the cardinality is checked
+    class of a smooth model appears once.  The classes come out as plain
+    int tuples, sorted by (deg u, u, v) with no key function, and are
+    wrapped as MumfordDivisor records once; the cardinality is checked
     against the zeta-side order.
     """
     _require_imaginary(curve)
@@ -334,7 +387,6 @@ def enumerate_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
         raise BudgetExceededError(f"jacobian enumeration capped at q <= {JACOBIAN_Q_CAP}")
 
     out = _reduced_divisors(curve)
-    out.sort(key=MumfordDivisor.sort_key)
 
     n1 = count_points(curve, 1).count
     n2 = count_points(curve, 2).count
@@ -382,8 +434,7 @@ def zero_sum_tuples(curve: CurveModel, r: int, limit: int | None = None,
         index += stride
 
 
-@dataclass(frozen=True)
-class TranslateExperiment:
+class TranslateExperiment(NamedTuple):
     """Support count of a sum of curve translates attached to a zero-sum tuple."""
 
     points: tuple[MumfordDivisor, ...]

@@ -1,9 +1,12 @@
-"""The library names the benchmark harness reads still exist.
+"""The library names the benchmark harness reads still exist, and its
+workloads still reproduce their recorded outputs.
 
 ``perfbench/setup_probe.py`` builds the fields and lazy tables of each
 workload, and ``perfbench/run.py`` wraps public library functions by name
-for its traced run.  Both are loaded here by path, so a library change that
-drops or renames a name they use fails this test instead of the benchmark.
+for its traced run and checks each workload's first ops against a recorded
+digest.  Both are loaded here by path, so a library change that drops or
+renames a name they use, or changes an output they digest, fails here
+instead of in the benchmark.
 """
 
 from __future__ import annotations
@@ -55,3 +58,15 @@ def test_tracing_wraps_and_restores_the_library(perfbench):
     finally:
         tracer.restore()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_workloads_reproduce_the_recorded_digests(perfbench):
+    # the first digest_ops ops of every workload at the default seed: an
+    # output change (enumeration order, trimming) fails here, not in the benchmark
+    _, run = perfbench
+    for name, workload in run.WORKLOADS.items():
+        work = workload()
+        work.prepare(run.DEFAULT_SEED)
+        m = run.measure(work, n_ops=work.digest_ops)
+        assert m.failed == 0, (name, m.failures)
+        assert work.digest_of(m.outputs) == work.digest, name

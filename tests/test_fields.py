@@ -267,7 +267,16 @@ class TestStructureTables:
             else:
                 assert F8.trace_bit(c) == 1
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+    def test_installing_the_ops_builds_no_root_table(self):
+        F = FiniteField(2, 5)  # a fresh instance, not the cached one
+        F.quadratic_roots(0, 0)
+        assert "artin_schreier_roots" not in vars(F)
+        assert F.quadratic_roots(1, 0) == (0, 1)
+        assert "artin_schreier_roots" not in vars(F)
+        F.quadratic_roots(1, 1)
+        assert "artin_schreier_roots" in vars(F)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64])
     def test_quadratic_roots_match_brute_force(self, q):
         F = builtin_field(q)
         for b in F.elements():

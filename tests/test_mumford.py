@@ -58,6 +58,11 @@ def embed_point(curve: CurveModel, pt: CurvePoint) -> MumfordDivisor:
     return MumfordDivisor((F.neg(x), 1), (y,) if y else ())
 
 
+def sort_key(d: MumfordDivisor) -> tuple:
+    """The enumeration order: degree, then u, then v (trimmed tuples)."""
+    return (len(d.u), d.u, d.v)
+
+
 def scan_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     """Every (u, v) in F_q^4 with u | v^2 + h v - f, sorted: the q^4 oracle."""
     F = curve.field
@@ -103,13 +108,13 @@ def scan_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
                         vv = (v0, v1) if v1 else ((v0,) if v0 else ())
                         out.append(MumfordDivisor(u, vv))
 
-    out.sort(key=MumfordDivisor.sort_key)
+    out.sort(key=sort_key)
     return tuple(out)
 
 
 def solved_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
-    """The library's per-u solution set, sorted, before the order tripwire."""
-    return tuple(sorted(_reduced_divisors(curve), key=MumfordDivisor.sort_key))
+    """The library's per-u solution set, in its own order, before the order tripwire."""
+    return tuple(_reduced_divisors(curve))
 
 
 def seeded_curves(q: int, count: int, seed: int) -> list[CurveModel]:
@@ -218,6 +223,29 @@ def branch(d1: MumfordDivisor, d2: MumfordDivisor, out: MumfordDivisor,
     return "double" if d1 == d2 else "add"
 
 
+def draw_bad_class(rng: Random, q: int, deg: int, group: set) -> MumfordDivisor | None:
+    """A random (u, v) with deg v < deg u = deg outside the group, None if
+    1000 draws find none."""
+    for _ in range(1000):
+        u = tuple(rng.randrange(q) for _ in range(deg)) + (1,)
+        bad = MumfordDivisor(u, poly.trim([rng.randrange(q) for _ in range(deg)]))
+        if bad not in group:
+            return bad
+    return None
+
+
+def checked_sum(add, curve: CurveModel, d1: MumfordDivisor,
+                d2: MumfordDivisor) -> MumfordDivisor | None:
+    """d1 + d2 under a group law, None when the law rejects the pair; a
+    returned class must be valid."""
+    try:
+        out = add(curve, d1, d2)
+    except InvalidDivisorError:
+        return None
+    check_divisor(curve, out)
+    return out
+
+
 class TestExplicitFormulas:
     """cantor_add against Cantor's algorithm, with the branch of every call."""
 
@@ -241,20 +269,18 @@ class TestExplicitFormulas:
             taken[branch(d1, d2, out, bool(fallbacks))] += 1
 
         def check_invalid(curve, group):
-            # one class outside the group: whatever _cantor rejects is rejected
-            while True:
-                u = (rng.randrange(curve.field.q), rng.randrange(curve.field.q), 1)
-                bad = MumfordDivisor(u, poly.trim([rng.randrange(curve.field.q)
-                                                   for _ in range(2)]))
-                if bad not in group:
-                    break
-            for d in group:
-                for d1, d2 in ((bad, d), (d, bad)):
-                    try:
-                        _cantor(curve, d1, d2)
-                    except InvalidDivisorError:
-                        with pytest.raises(InvalidDivisorError):
-                            cantor_add(curve, d1, d2)
+            # a class of each degree outside the group, where one exists:
+            # whatever _cantor rejects is rejected, and neither law returns an
+            # invalid class (the identity returns the other operand unchecked)
+            for deg in (1, 2):
+                bad = draw_bad_class(rng, curve.field.q, deg, group)
+                if bad is None:
+                    continue  # every (x - a, y) lies on the curve
+                for d in group - {IDENTITY}:
+                    for d1, d2 in ((bad, d), (d, bad)):
+                        rejected = checked_sum(_cantor, curve, d1, d2) is None
+                        if checked_sum(cantor_add, curve, d1, d2) is not None:
+                            assert not rejected, (curve, d1, d2)
 
         for q in corpus:
             if (q % 2 == 0) != even:
@@ -276,17 +302,34 @@ class TestExplicitFormulas:
         assert set(taken) == BRANCHES, taken
 
 
+def assert_sorted_and_unique(group: tuple[MumfordDivisor, ...]) -> None:
+    keys = [sort_key(d) for d in group]
+    assert keys == sorted(keys)
+    assert len(set(group)) == len(group)
+    assert group[0] == IDENTITY
+
+
 class TestEnumeration:
     def test_sizes(self, curve_e1, curve_e2):
         assert len(enumerate_jacobian(curve_e1)) == 5
         assert len(enumerate_jacobian(curve_e2)) == 13
 
     def test_sorted_and_unique(self, curve_e2):
-        group = enumerate_jacobian(curve_e2)
-        keys = [d.sort_key() for d in group]
-        assert keys == sorted(keys)
-        assert len(set(group)) == len(group)
-        assert group[0] == IDENTITY
+        curves = [curve_e2] + [curve for q in (16, 25, 27, 32)
+                               for curve in seeded_curves(q, 1, seed=4000 + q)]
+        for curve in curves:
+            assert_sorted_and_unique(enumerate_jacobian(curve))
+
+    @pytest.mark.parametrize("q", [37, 49, 61, 64])
+    def test_large_fields(self, q):
+        # odd q >= 37 has no addition table for F_{q^2}; 64 is the cap
+        (curve,) = seeded_curves(q, 1, seed=5000 + q)
+        group = enumerate_jacobian.__wrapped__(curve)  # raises on an order mismatch
+        n1, n2 = count_points(curve, 1).count, count_points(curve, 2).count
+        assert len(group) == jacobian_order(weil_from_counts(q, n1, n2))
+        assert_sorted_and_unique(group)
+        for d in group:
+            check_divisor(curve, d)
 
     def test_every_element_valid(self, corpus):
         for curves in corpus.values():
