@@ -13,9 +13,8 @@ radii of that test, 1 <= r <= R_MAX (``check_radii``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidGenusError, InvalidRError, TraceHypothesisViolatedError
 from .weil import SimplicityVerdict, Verdict, WeilData, classify_simplicity, \
@@ -61,8 +60,7 @@ class Branch(enum.Enum):
     PHI_R = "phir"
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(NamedTuple):
     """Certified parameters of the evaluation code attached to (curve, r)."""
 
     q: int

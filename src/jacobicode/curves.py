@@ -22,8 +22,7 @@ F_{q^2} the loop visits the image of F_q once and one x per Frobenius pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import poly
 from .errors import (
@@ -41,8 +40,7 @@ IMAGINARY = "imaginary"
 REAL = "real"
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(NamedTuple):
     """A validated, normalized genus-2 model.
 
     ``h`` and ``f`` are coefficient tuples (low degree first, integer
@@ -80,8 +78,7 @@ class CurveModel:
                 f"f={poly.to_string(self.f)}, {self.kind})")
 
 
-@dataclass(frozen=True)
-class PointCount:
+class PointCount(NamedTuple):
     k: int
     count: int
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import poly
 from .bounds import CodeReport, check_radii, code_params
@@ -48,17 +47,22 @@ EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Coefficient space of candidate models over one field."""
-
+class _SpaceFields(NamedTuple):
     field: FiniteField
     kind: str = IMAGINARY
     mode: str = EXHAUSTIVE
     seed: int | None = None
     trials: int | None = None
 
-    def __post_init__(self):
+
+class SearchSpace(_SpaceFields):
+    """Coefficient space of candidate models over one field; validated on
+    construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchSpace":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (IMAGINARY, REAL):
             raise InvalidSearchSpaceError(f"kind must be {IMAGINARY!r} or {REAL!r}")
         if self.mode not in (EXHAUSTIVE, RANDOM):
@@ -66,6 +70,7 @@ class SearchSpace:
         if self.mode == RANDOM and (self.seed is None or self.trials is None
                                     or self.trials < 1):
             raise InvalidSearchSpaceError("random mode needs a seed and a positive trial count")
+        return self
 
     @property
     def f_degree(self) -> int:
@@ -154,8 +159,7 @@ def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
     return _curves(space, _unique(space))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One (curve, r) line of a code table, carrying the full pipeline output."""
 
     curve: CurveModel

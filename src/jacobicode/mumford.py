@@ -3,14 +3,17 @@
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
 2, deg v < deg u, and u dividing v^2 + h v - f.  The group law adds two
 classes with coprime u, and doubles a class whose u is coprime to
-2v + h, by explicit formulas whatever the degrees, and falls back to
-Cantor's composition-and-reduction for the rest: u with a common root,
-and doubles at a Weierstrass point; Cantor's algorithm is also the tests'
-oracle for the formulas.  The whole group is enumerated by solving the
-divisibility condition per u: v must take a root y of y^2 + h(x) y = f(x)
-at each root x of u (Cantor 1987), so the classes come from the points
-over F_q (split u, including a double root lifted to second order) and
-over F_{q^2} (irreducible u, one point per Frobenius pair) in O(q^2) field
+2v + h, by explicit formulas whatever the degrees: straight-line on
+field scalars when both classes have degree 2, on coefficient tuples
+when one is a point.  It falls back to Cantor's composition-and-reduction
+for the rest: u with a common root, and doubles at a Weierstrass point;
+Cantor's algorithm is also the tests' oracle for the formulas.
+
+The whole group is enumerated by solving the divisibility condition per
+u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
+(Cantor 1987), so the classes come from the points over F_q (split u,
+including a double root lifted to second order) and over F_{q^2}
+(irreducible u, one point per Frobenius pair) in O(q^2) field
 operations, with products and quotients on the discrete-log tables.  The
 classes are made once, as flat int tuples that sort in the wire order
 with no key function, and wrapped once as MumfordDivisor records, a
@@ -99,9 +102,11 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
     The identity and a class plus its negative are read off directly.  The
     sum of two classes with coprime u, and the double of a class whose u is
     coprime to 2v + h, take one composition and one reduction step (Lange
-    2005, affine, any h), whatever the degrees.  The rest -- u1 and u2 with
-    a common root, equal u with unrelated v, a double whose u shares a root
-    with 2v + h -- goes through Cantor's composition and reduction.  A pair
+    2005, affine, any h), whatever the degrees: straight-line on scalars
+    when both operands have degree 2, on coefficient tuples when one has
+    degree 1 (``_explicit_sum``).  The rest -- u1 and u2 with a common
+    root, equal u with unrelated v, a double whose u shares a root with
+    2v + h -- goes through Cantor's composition and reduction.  A pair
     whose sum would need an inexact division raises InvalidDivisorError on
     either path.  Inputs are not validated beyond that (``check_divisor``
     does): the identity returns the other operand as it is, and a class
@@ -135,8 +140,96 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     Otherwise the sum is u' = monic((f - h V - V^2) / U) and
     v' = (-h - V) mod u'; u' has degree 1 when deg U = 4 and s is
     constant.  Returns None when the divisor w of s shares a root with m
-    (their resultant is 0), and when u1 == u2 with unrelated v1 and v2.
+    (their resultant is 0), and when u1 == u2 with unrelated v1 and v2:
+    Cantor's algorithm takes those.
+
+    Two degree-2 operands -- a sum with coprime u, a double with u prime
+    to 2v + h -- run straight-line on scalars, with the field's add, sub,
+    mul and inv only and one body for every field; the division by U keeps
+    its remainder check, which is the only validity check of a double.
+    An operand of degree 1 (a point plus a class, two points) runs the
+    same steps on coefficient tuples, ``_point_sum``.  A straight-line
+    version of those waits on a benchmark whose peak memory does not grow
+    with its op count (ROADMAP item 2).
     """
+    if len(d1.u) < 3:
+        return _point_sum(curve, d1, d2)
+    F = curve.field
+    add, sub, mul = F.add, F.sub, F.mul
+    h0, h1, h2 = curve.h + (0,) * (3 - len(curve.h))  # deg h <= 2, deg f = 5
+    f0, f1, f2, f3, f4, f5 = curve.f
+    a0, a1, _ = d1.u
+    b0, b1, _ = d2.u
+    p0, p1 = (d1.v + (0, 0))[:2]
+    q0, q1 = (d2.v + (0, 0))[:2]
+    if d1.u == d2.u:
+        # w = (v1 + v2 + h) mod u
+        w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
+        w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
+        if not (w0 or w1):
+            return IDENTITY
+        if d1.v != d2.v:
+            return None
+        # t = k mod u, k the quotient of f - h v - v^2 (degree 5) by u; its
+        # remainder is checked by the division by U = u^2 below
+        k3 = f5
+        k2 = sub(f4, mul(k3, a1))
+        k1 = sub(sub(f3, mul(h2, p1)), add(mul(k3, a0), mul(k2, a1)))
+        k0 = sub(sub(f2, add(add(mul(h2, p0), mul(h1, p1)), mul(p1, p1))),
+                 add(mul(k2, a0), mul(k1, a1)))
+        c2, c1 = sub(k2, mul(k3, a1)), sub(k1, mul(k3, a0))
+        t0, t1 = sub(k0, mul(c2, a0)), sub(c1, mul(c2, a1))
+    else:
+        w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
+        t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
+
+    # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
+    j0 = sub(w0, mul(w1, b1))
+    r = add(mul(w0, j0), mul(mul(w1, w1), b0))
+    if not r:
+        return None
+    ri = F.inv(r)
+    s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
+    s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
+
+    # V = v1 + s u1 and H = V + h; U = u1 m is monic of degree 4
+    V3, V2 = s1, add(s0, mul(s1, a1))
+    V1, V0 = add(p1, add(mul(s0, a1), mul(s1, a0))), add(p0, mul(s0, a0))
+    H2, H1, H0 = add(V2, h2), add(V1, h1), add(V0, h0)
+    U3, U2 = add(a1, b1), add(add(a0, b0), mul(a1, b1))
+    U1, U0 = add(mul(a0, b1), mul(a1, b0)), mul(a0, b0)
+
+    # K = (V H - f) / U = -(f - h V - V^2) / U, n_i the coefficients of
+    # V H - f; the division must leave no remainder
+    n5 = sub(add(mul(V3, H2), mul(V2, V3)), f5)
+    n4 = sub(add(add(mul(V3, H1), mul(V2, H2)), mul(V1, V3)), f4)
+    n3 = sub(add(add(mul(V3, H0), mul(V2, H1)), add(mul(V1, H2), mul(V0, V3))), f3)
+    n2 = sub(add(add(mul(V2, H0), mul(V1, H1)), mul(V0, H2)), f2)
+    n1 = sub(add(mul(V1, H0), mul(V0, H1)), f1)
+    n0 = sub(mul(V0, H0), f0)
+    K2 = mul(V3, V3)
+    K1 = sub(n5, mul(K2, U3))
+    K0 = sub(n4, add(mul(K2, U2), mul(K1, U3)))
+    if (sub(n3, add(add(mul(K2, U1), mul(K1, U2)), mul(K0, U3)))
+            or sub(n2, add(add(mul(K2, U0), mul(K1, U1)), mul(K0, U2)))
+            or sub(n1, add(mul(K1, U0), mul(K0, U1))) or sub(n0, mul(K0, U0))):
+        raise InvalidDivisorError("(f - h V - V^2) is not divisible by u1 u2")
+
+    if not K2:  # s is constant: u' = x + e with e = K0 / K1, v' = -H(-e)
+        e = mul(K0, F.inv(K1))
+        v = sub(mul(e, sub(H1, mul(e, H2))), H0)
+        return MumfordDivisor((e, 1), (v,) if v else ())
+    # u' = x^2 + e1 x + e0 and v' = -H mod u'
+    ki = F.inv(K2)
+    e1, e0 = mul(K1, ki), mul(K0, ki)
+    g2, g1 = sub(H2, mul(V3, e1)), sub(H1, mul(V3, e0))
+    o1, o0 = sub(mul(g2, e1), g1), sub(mul(g2, e0), H0)
+    return MumfordDivisor((e0, e1, 1), (o0, o1) if o1 else ((o0,) if o0 else ()))
+
+
+def _point_sum(curve: CurveModel, d1: MumfordDivisor,
+               d2: MumfordDivisor) -> MumfordDivisor | None:
+    """``_explicit_sum`` on coefficient tuples, for a u1 of degree 1."""
     F = curve.field
     h = curve.h
     u1, v1, m = d1.u, d1.v, d2.u
@@ -176,13 +269,16 @@ def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mumfor
     """Cantor's group law: compose through the three-term gcd, then reduce
     to degree <= 2.
 
-    Each reduction step divides f - h v - v^2 by u exactly, which checks
-    the inputs; a composition of degree <= 2 takes no step, so u | f - h v
-    - v^2 is checked on it directly, and either failure raises
-    InvalidDivisorError.  A composition u = 1 passes trivially: a class
-    plus its formal negative, such as (x, 0) + (x, 0) when h(0) = 0, is
-    the identity whether or not it lies on the curve (``check_divisor``
-    validates inputs).
+    Coprime u1 and u2 compose by the Chinese remainder theorem alone, v =
+    e1 u1 v2 + e2 u2 v1 with e1 u1 + e2 u2 = 1, so the composition reads
+    both v1 and v2; otherwise the gcd d0 of u1 and u2 meets v1 + v2 + h
+    in a second extended gcd.  Each reduction step divides f - h v - v^2
+    by u exactly, which checks the inputs; a composition of degree <= 2
+    takes no step, so u | f - h v - v^2 is checked on it directly, and
+    either failure raises InvalidDivisorError.  A composition u = 1 passes
+    trivially: a class plus its formal negative, such as (x, 0) + (x, 0)
+    when h(0) = 0, is the identity whether or not it lies on the curve
+    (``check_divisor`` validates inputs).
     """
     F = curve.field
     h, f = curve.h, curve.f
@@ -190,11 +286,14 @@ def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mumfor
     u2, v2 = d2.u, d2.v
 
     d0, e1, e2 = poly.ext_gcd(F, u1, u2)
-    s = poly.add(F, poly.add(F, v1, v2), h)
-    d, c1, c2 = poly.ext_gcd(F, d0, s)
-    s1 = poly.mul(F, c1, e1)
-    s2 = poly.mul(F, c1, e2)
-    s3 = c2
+    if d0 == (1,):
+        d, s1, s2, s3 = d0, e1, e2, ()
+    else:
+        s = poly.add(F, poly.add(F, v1, v2), h)
+        d, c1, c2 = poly.ext_gcd(F, d0, s)
+        s1 = poly.mul(F, c1, e1)
+        s2 = poly.mul(F, c1, e2)
+        s3 = c2
 
     try:
         u = poly.exact_div(F, poly.mul(F, u1, u2), poly.mul(F, d, d))

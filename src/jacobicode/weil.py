@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentCountsError, NotPrimeError
 from .fields import prime_power
@@ -74,8 +74,14 @@ def quartic_roots_on_circle(q: int, c1: int, c2: int) -> bool:
             and _nonneg_with_sqrt(2 * q + c2, -2 * c1, q))
 
 
-@dataclass(frozen=True)
-class WeilData:
+class _WeilFields(NamedTuple):
+    q: int
+    p: int
+    c1: int
+    c2: int
+
+
+class WeilData(_WeilFields):
     """Coefficients (q, c1, c2) of t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2.
 
     c1 equals the trace term: N1 = q + 1 + c1.  Construction validates the
@@ -83,12 +89,10 @@ class WeilData:
     roots have modulus sqrt(q).
     """
 
-    q: int
-    p: int
-    c1: int
-    c2: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> "WeilData":
+        self = super().__new__(cls, *args, **kwargs)
         if self.p != _characteristic(self.q):
             raise InconsistentCountsError(
                 f"p = {self.p} is not the characteristic of q = {self.q}")
@@ -99,6 +103,7 @@ class WeilData:
         if not quartic_roots_on_circle(self.q, self.c1, self.c2):
             raise InconsistentCountsError(
                 "not all roots of the quartic have modulus sqrt(q)")
+        return self
 
     def coefficients(self) -> IntPoly:
         q, c1, c2 = self.q, self.c1, self.c2
@@ -163,8 +168,7 @@ class FactorShape(enum.Enum):
     HAS_LINEAR_FACTORS = "has-linear-factors"
 
 
-@dataclass(frozen=True)
-class WeilFactorization:
+class WeilFactorization(NamedTuple):
     """Factorization over Z as ((monic poly, multiplicity), ...), plus its shape."""
 
     factors: tuple[tuple[IntPoly, int], ...]
@@ -235,8 +239,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     verdict: Verdict
     reason: str
 

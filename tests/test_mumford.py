@@ -179,6 +179,18 @@ class TestGroupLaw:
                 with pytest.raises(InvalidDivisorError):
                     add(curve_e2, d1, d2)
 
+    def test_cantor_reads_both_coprime_operands(self):
+        # (x, 1) is off y^2 = x^5 + x over F_3, and x^2 + 2x + 2 is coprime
+        # to x; the composition must still read v1 = 1, so the reduction
+        # step's exact division fails
+        curve = validate_curve(make_field(3, 1), (), (0, 1, 0, 0, 0, 1))
+        bad, d = MumfordDivisor((0, 1), (1,)), MumfordDivisor((2, 2, 1), ())
+        check_divisor(curve, d)
+        for add in (cantor_add, _cantor):
+            for d1, d2 in ((bad, d), (d, bad)):
+                with pytest.raises(InvalidDivisorError):
+                    add(curve, d1, d2)
+
     def test_invalid_divisor_rejected(self, curve_e2):
         with pytest.raises(InvalidDivisorError):
             check_divisor(curve_e2, MumfordDivisor((1, 1), (0, 1)))  # deg v == deg u
@@ -191,7 +203,8 @@ class TestGroupLaw:
 
 BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum", "point plus class",
             "cantor"}
-SAMPLED_QS = {True: (8, 16, 32), False: (7, 9, 25, 27)}  # by characteristic 2 or odd
+# by characteristic 2 or odd, up to JACOBIAN_Q_CAP = 64 and the largest odd prime below it
+SAMPLED_QS = {True: (8, 16, 32, 64), False: (7, 9, 25, 27, 61)}
 SAMPLED_PAIRS = 150
 
 
@@ -271,16 +284,21 @@ class TestExplicitFormulas:
         def check_invalid(curve, group):
             # a class of each degree outside the group, where one exists:
             # whatever _cantor rejects is rejected, and neither law returns an
-            # invalid class (the identity returns the other operand unchecked)
+            # invalid class (the identity returns the other operand unchecked,
+            # and a class plus its formal negative is the identity); a bad
+            # degree-2 class is also doubled, which only the final division
+            # of the formulas can reject
             for deg in (1, 2):
                 bad = draw_bad_class(rng, curve.field.q, deg, group)
                 if bad is None:
                     continue  # every (x - a, y) lies on the curve
-                for d in group - {IDENTITY}:
-                    for d1, d2 in ((bad, d), (d, bad)):
-                        rejected = checked_sum(_cantor, curve, d1, d2) is None
-                        if checked_sum(cantor_add, curve, d1, d2) is not None:
-                            assert not rejected, (curve, d1, d2)
+                pairs = [p for d in group - {IDENTITY} for p in ((bad, d), (d, bad))]
+                if deg == 2 and negate(curve, bad) != bad:
+                    pairs.append((bad, bad))
+                for d1, d2 in pairs:
+                    rejected = checked_sum(_cantor, curve, d1, d2) is None
+                    if checked_sum(cantor_add, curve, d1, d2) is not None:
+                        assert not rejected, (curve, d1, d2)
 
         for q in corpus:
             if (q % 2 == 0) != even:
