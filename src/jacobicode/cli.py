@@ -187,15 +187,8 @@ def _cmd_attain(args) -> int:
     group_size = report.n
     total = group_size ** (args.r - 1)
     stride = max(1, total // args.tuples)
-    experiments = []
-    for tup in zero_sum_tuples(curve, args.r, limit=args.tuples, stride=stride):
-        exp = translate_support_count(curve, tup)
-        experiments.append({
-            "points": [d.to_dict() for d in exp.points],
-            "support_count": exp.support_count,
-            "attained": exp.attained,
-            "weight_surrogate": exp.weight_surrogate,
-        })
+    experiments = [translate_support_count(curve, tup).to_dict()
+                   for tup in zero_sum_tuples(curve, args.r, limit=args.tuples, stride=stride)]
     surrogates = [e["weight_surrogate"] for e in experiments]
     out = {
         "schema": SCHEMA,

@@ -13,11 +13,12 @@ smoothness criterion applies per characteristic:
 Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
 read off the quadratic in y (square test in odd characteristic, trace test
 in characteristic 2).  One loop, Horner on the discrete-log tables of
-F_{q^k}, covers the nonzero x; x = 0 and the points at infinity of a real
-model (z^2 + h3 z = f6 on the chart at infinity) are read off
-``quadratic_roots``, and an imaginary model has one point at infinity.  Over
-F_{q^2} the loop visits the image of F_q once and one x per Frobenius pair
-{x, x^q} outside F_q twice, since x^q has as many points above it as x.
+F_{q^k}, covers every x, 0 included, since the tables give 0 a logarithm.
+The points at infinity of a real model (z^2 + h3 z = f6 on the chart at
+infinity) are read off ``quadratic_roots``, and an imaginary model has one
+point at infinity.  Over F_{q^2} the loop visits the image of F_q once and
+one x per Frobenius pair {x, x^q} outside F_q twice, since x^q has as many
+points above it as x.
 """
 
 from __future__ import annotations
@@ -157,18 +158,17 @@ def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     E, hh, ff = _lifted(curve, k)
     # a real model has the roots z of z^2 + h3 z = f6 on the chart at infinity
     total = 1 if curve.is_imaginary else len(E.quadratic_roots(poly.coefficient(hh, 3), ff[6]))
-    total += len(E.quadratic_roots(poly.coefficient(hh, 0), poly.coefficient(ff, 0)))
     if k == 2:
         emb = extend_field(curve.field, 2, allow_large=True)
-        total += (_roots_above(E, hh, ff, emb.nonzero_image)
+        total += (_roots_above(E, hh, ff, emb.image)
                   + 2 * _roots_above(E, hh, ff, emb.frobenius_pairs))
     else:
-        total += _roots_above(E, hh, ff, range(1, E.q))
+        total += _roots_above(E, hh, ff, E.elements())
     return PointCount(k, total)
 
 
 def _roots_above(E: FiniteField, hh, ff, xs) -> int:
-    """Number of roots y in E of y^2 + h(x)y = f(x), summed over nonzero xs.
+    """Number of roots y in E of y^2 + h(x)y = f(x), summed over xs.
 
     h and f are evaluated by Horner on the discrete-log tables of E; h is
     read only in characteristic 2, as odd-characteristic models have h = 0.
@@ -183,13 +183,13 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
             lx = log[x]
             hx = h_lead
             for c in h_rest:
-                hx = (exp2[log[hx] + lx] ^ c) if hx else c
+                hx = exp2[log[hx] + lx] ^ c
             if hx == 0:  # y^2 = f(x): squaring is bijective
                 total += 1
                 continue
             fx = f_lead
             for c in f_rest:
-                fx = (exp2[log[fx] + lx] ^ c) if fx else c
+                fx = exp2[log[fx] + lx] ^ c
             # two roots iff z^2 + z = f(x) / h(x)^2 is solvable (trace 0)
             if fx == 0 or solvable[exp2[(log[fx] - 2 * log[hx]) % n]] >= 0:
                 total += 2
@@ -199,7 +199,7 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
             lx = log[x]
             fx = f_lead
             for c in f_rest:
-                fx = add(exp2[log[fx] + lx], c) if fx else c
+                fx = add(exp2[log[fx] + lx], c)
             if fx == 0:
                 total += 1
             elif log[fx] & 1 == 0:  # even power of the generator: a square

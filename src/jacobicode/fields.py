@@ -38,21 +38,6 @@ _OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_", "quadratic_roo
 _TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, built with the ops
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -147,10 +132,14 @@ class FiniteField:
     are built lazily on first arithmetic use and never mutated afterwards,
     so instances are safe for unrestricted concurrent use.  Every field
     multiplies, inverts and raises to powers through its discrete-log
-    tables, exposed as the tuples ``log`` and ``exp2`` for hot loops: for
-    nonzero x and y, ``x * y == exp2[log[x] + log[y]]`` (``log[0]`` is
-    meaningless); in odd characteristic x is a square iff ``log[x]`` is
-    even, with square root ``exp2[log[x] >> 1]``.  Addition is XOR in
+    tables, exposed as the tuples ``log`` and ``exp2`` for hot loops.  With
+    n = q - 1 and generator g, ``exp2`` holds g^0 .. g^(n-1) twice, then
+    2n + 1 zeros, and ``log[0] = 2n``, so every sum of two logs, or of a log
+    and 0 <= k <= n, stays in range: ``x * y == exp2[log[x] + log[y]]`` for
+    all x and y, 0 included, and ``exp2[log[x] + k] == x * g^k``.  An index
+    taken mod n (powers, square roots) still needs x != 0.  In odd
+    characteristic a nonzero x is a square iff ``log[x]`` is even, with
+    square root ``exp2[log[x] >> 1]``.  Addition is XOR in
     characteristic 2, reduction mod p in prime fields, and digitwise mod p
     otherwise, from a q x q table when q <= 1024: row x is row x - p^i, for
     the lowest nonzero digit place p^i of x, mapped through the carry-free
@@ -171,7 +160,7 @@ class FiniteField:
         # p^a >= 2^a, so the cap is checked without computing a huge power
         if not allow_large and (a >= SIZE_CAP.bit_length() or p ** a > SIZE_CAP):
             raise FieldTooLargeError(f"q = {p}^{a} exceeds the cap {SIZE_CAP}")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NotPrimeError(f"p = {p} is not prime")
         q = p ** a
         if modulus is None:
@@ -265,15 +254,13 @@ class FiniteField:
         exp = [1] * n
         for i in range(1, n):
             exp[i] = self._raw_mul(exp[i - 1], g)
-        log = [0] * q  # log[0] is a placeholder: callers test for 0 first
+        log = [2 * n] * q  # log[0] lands every sum with it in the zero tail
         for i, v in enumerate(exp):
             log[v] = i
         log = tuple(log)
-        exp2 = tuple(exp + exp)  # spare period so mul can skip the modulus
+        exp2 = tuple(exp + exp + [0] * (2 * n + 1))  # spare period, then zeros
 
         def mul(x, y):
-            if x == 0 or y == 0:
-                return 0
             return exp2[log[x] + log[y]]
 
         def inv(x):
@@ -358,8 +345,8 @@ class FiniteField:
             def quadratic_roots(b, c):
                 # complete the square: (y + m)^2 = d with m = b/2, d = c + m^2;
                 # a nonzero d is a square iff log d is even
-                m = exp2[log[b] + log_half] if b else 0
-                d = add(c, exp2[2 * log[m]]) if m else c
+                m = exp2[log[b] + log_half]
+                d = add(c, exp2[log[m] + log[m]])
                 if not d:
                     return (neg(m),)
                 if log[d] & 1:
@@ -387,7 +374,7 @@ class FiniteField:
 
         The library does not read it; the benchmark probe and the tests do.
         """
-        return frozenset(self.exp2[::2])
+        return frozenset(self.exp2[:2 * (self.q - 1):2])
 
     def trace_bit(self, x: int) -> int:
         """Absolute trace F_{2^a} -> F_2 of x; z^2 + z = x is solvable iff 0.
@@ -482,7 +469,8 @@ class FieldEmbedding:
         raise AssertionError("base modulus has no root in the extension")
 
     @cached_property
-    def _table(self) -> list[int]:
+    def image(self) -> tuple[int, ...]:
+        """The images of the base field's elements, in encoding order."""
         base, ext, rho = self.base, self.ext, self.root
         mul, add = ext.mul, ext.add
         table = []
@@ -491,24 +479,19 @@ class FieldEmbedding:
             for c in reversed(base.coeffs(x)):
                 acc = add(mul(acc, rho), c)
             table.append(acc)
-        return table
+        return tuple(table)
 
     def __call__(self, x: int) -> int:
-        return self._table[x]
+        return self.image[x]
 
     @cached_property
     def preimage(self) -> dict[int, int]:
         """Inverse map on the image: extension encoding -> base encoding."""
-        return {y: x for x, y in enumerate(self._table)}
+        return {y: x for x, y in enumerate(self.image)}
 
     def map_poly(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        t = self._table
+        t = self.image
         return tuple(t[c] for c in coeffs)
-
-    @cached_property
-    def nonzero_image(self) -> tuple[int, ...]:
-        """The images of the nonzero elements of the base field, in encoding order."""
-        return tuple(self._table[1:])
 
     @cached_property
     def frobenius_pairs(self) -> tuple[int, ...]:

@@ -109,9 +109,11 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
     2v + h -- goes through Cantor's composition and reduction.  A pair
     whose sum would need an inexact division raises InvalidDivisorError on
     either path.  Inputs are not validated beyond that (``check_divisor``
-    does): the identity returns the other operand as it is, and a class
-    plus its formal negative (equal u, v1 + v2 + h = 0 mod u) is the
-    identity, on the curve or not -- (x, 0) + (x, 0) when h(0) = 0.
+    does): the identity returns the other operand as it is, and every pair
+    of formal negatives (equal u, v1 + v2 + h = 0 mod u) sums to the
+    identity, on the curve or not.  ``_cantor`` checks some of those pairs:
+    on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2, the off-curve class
+    (x^2, x) doubles to the identity here and raises there.
     """
     _require_imaginary(curve)
     if d1.u == (1,):
@@ -275,10 +277,16 @@ def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mumfor
     in a second extended gcd.  Each reduction step divides f - h v - v^2
     by u exactly, which checks the inputs; a composition of degree <= 2
     takes no step, so u | f - h v - v^2 is checked on it directly, and
-    either failure raises InvalidDivisorError.  A composition u = 1 passes
-    trivially: a class plus its formal negative, such as (x, 0) + (x, 0)
-    when h(0) = 0, is the identity whether or not it lies on the curve
-    (``check_divisor`` validates inputs).
+    either failure raises InvalidDivisorError.  A class plus its formal
+    negative (equal u, v1 + v2 + h = 0 mod u) composes to u = 1, which
+    passes unchecked when s = v1 + v2 + h is 0 or has degree above deg u:
+    (x, 0) + (x, 0) when h(0) = 0 and deg h = 2.  When s is a constant
+    multiple of u, the cofactor of s in gcd(u, s) is nonzero, so the
+    composition divides v1 v2 + f by u, which checks u | f - h v1 - v1^2:
+    the off-curve (x, 0) doubles to InvalidDivisorError when h = x, and so
+    does (x^2, x) on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2, which
+    ``cantor_add`` doubles to the identity.  ``check_divisor`` validates
+    inputs.
     """
     F = curve.field
     h, f = curve.h, curve.f
@@ -346,22 +354,23 @@ def in_theta(d: MumfordDivisor) -> bool:
 
 
 def _horner(E: FiniteField, coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """The values of a polynomial at the nonzero xs, by Horner on the log
-    tables of E (XOR in characteristic 2)."""
+    """The values of a polynomial at the xs, by Horner on the log tables of
+    E (XOR in characteristic 2); 0 has a logarithm there, so x = 0 and a
+    zero accumulator need no branch."""
     log, exp2, add = E.log, E.exp2, E.add
-    desc = coeffs[::-1]
+    lead, *rest = coeffs[::-1] or (0,)  # Horner from the leading term
     out = []
     if E.p == 2:
         for x in xs:
-            lx, acc = log[x], 0
-            for c in desc:
-                acc = (exp2[log[acc] + lx] ^ c) if acc else c
+            lx, acc = log[x], lead
+            for c in rest:
+                acc = exp2[log[acc] + lx] ^ c
             out.append(acc)
     else:
         for x in xs:
-            lx, acc = log[x], 0
-            for c in desc:
-                acc = add(exp2[log[acc] + lx], c) if acc else c
+            lx, acc = log[x], lead
+            for c in rest:
+                acc = add(exp2[log[acc] + lx], c)
             out.append(acc)
     return out
 
@@ -386,9 +395,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     solve = F.quadratic_roots
 
     # u = x - a: v is a root y over a
-    xs = range(1, q)
-    hs = [poly.coefficient(h, 0)] + _horner(F, h, xs)
-    fs = [poly.coefficient(f, 0)] + _horner(F, f, xs)
+    hs, fs = _horner(F, h, F.elements()), _horner(F, f, F.elements())
     roots = [solve(hs[a], fs[a]) for a in range(q)]
     points = [(neg(a), y) for a, ys in enumerate(roots) for y in ys]
 
@@ -397,15 +404,14 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     pairs = []
     above = [(a, log[a], ys) for a, ys in enumerate(roots) if ys]
     for i, (a, la, ya_s) in enumerate(above):
-        for b, lb, yb_s in above[i + 1:]:  # b > a >= 0, so only a can be 0
-            u0 = exp2[la + lb] if a else 0
+        for b, lb, yb_s in above[i + 1:]:
+            u0 = exp2[la + lb]
             u1 = neg(add(a, b))
             lw = n - log[sub(a, b)]
             for ya in ya_s:
                 for yb in yb_s:
-                    d = sub(ya, yb)
-                    v1 = exp2[log[d] + lw] if d else 0
-                    pairs.append((u0, u1, sub(ya, exp2[log[v1] + la]) if v1 and a else ya, v1))
+                    v1 = exp2[log[sub(ya, yb)] + lw]
+                    pairs.append((u0, u1, sub(ya, exp2[log[v1] + la]), v1))
 
     # u = (x - a)^2: v = y + v1 (x - a) with (2y + h(a)) v1 = f'(a) - h'(a) y
     mul, inv = F.mul, F.inv
@@ -448,10 +454,9 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
         u0, u1 = back[eexp2[lx + lxq]], back[eneg(eadd(x, xq))]
         lw = en - elog[esub(x, xq)]
         for y in ys:
-            d = esub(y, eexp2[elog[y] * q % en]) if y else 0
-            v1 = eexp2[elog[d] + lw] if d else 0
-            v0 = esub(y, eexp2[elog[v1] + lx]) if v1 else y
-            pairs.append((u0, u1, back[v0], back[v1]))
+            d = esub(y, eexp2[elog[y] * q % en]) if y else 0  # y^q: an index mod en needs y != 0
+            v1 = eexp2[elog[d] + lw]
+            pairs.append((u0, u1, back[esub(y, eexp2[elog[v1] + lx])], back[v1]))
 
     points.sort()
     pairs.sort()
@@ -540,6 +545,11 @@ class TranslateExperiment(NamedTuple):
     support_count: int
     attained: bool
     weight_surrogate: int
+
+    def to_dict(self) -> dict:
+        return {"points": [d.to_dict() for d in self.points],
+                "support_count": self.support_count, "attained": self.attained,
+                "weight_surrogate": self.weight_surrogate}
 
 
 def translate_support_count(curve: CurveModel,

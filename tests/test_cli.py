@@ -6,7 +6,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,8 @@ from jacobicode import explore, poly
 from jacobicode.cli import run_cli
 from jacobicode.fields import make_field
 from jacobicode.poly import parse_poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(argv):
@@ -212,6 +218,16 @@ class TestSearch:
         top = next(csv.DictReader(io.StringIO(text.decode())))
         assert (top["certified"], top["N1"]) == ("True", "29")
         assert (top["n"], top["k"], top["d_lb"]) == ("526", "9", "433")
+
+    def test_small_field_tables_script_matches_search_csv(self, tmp_path):
+        # the README's table script writes the same bytes as `search --format csv`
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "small_field_tables.py"),
+                        "--q", "2", "--out-dir", str(tmp_path)],
+                       env=env, capture_output=True, check=True)
+        path = tmp_path / "search.csv"
+        assert run_cli(["search", "--q", "2", "--format", "csv", "--output", str(path)]) == 0
+        assert (tmp_path / "codes_q2.csv").read_bytes() == path.read_bytes()
 
     def test_random_needs_seed(self):
         code, _, err = invoke(["search", "--q", "2", "--random", "--trials", "5"])

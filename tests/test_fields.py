@@ -155,10 +155,22 @@ class TestArithmetic:
         F = builtin_field(q)
         log, exp2 = F.log, F.exp2
         assert isinstance(log, tuple) and isinstance(exp2, tuple)
-        assert len(exp2) == 2 * (q - 1)
-        for x in range(1, q):
-            for y in range(1, q):
+        assert len(exp2) == 4 * (q - 1) + 1
+        for x in range(q):
+            for y in range(q):
                 assert exp2[log[x] + log[y]] == F._raw_mul(x, y)
+
+    @pytest.mark.parametrize("q,degree", [(q, 1) for q in BUILTIN_QS]
+                             + [(q, 2) for q in (16, 25, 27, 64)])
+    def test_zero_tail_absorbs_every_offset(self, q, degree):
+        """exp2[log[0] + k] is 0 for 0 <= k <= 2n, and no product of nonzero
+        elements, nor a nonzero x times a power g^k with k <= n, reaches it."""
+        field = extend_field(builtin_field(q), degree).ext
+        log, exp2, n = field.log, field.exp2, field.q - 1
+        assert log[0] == 2 * n
+        assert all(exp2[log[0] + k] == 0 for k in range(2 * n + 1))
+        top = max(log[1:])  # the largest nonzero log bounds every such sum
+        assert top == n - 1 and top + max(top, n) < 2 * n
 
     @pytest.mark.parametrize("q", ODD_EXTENSION_QS)
     def test_addition_is_digitwise_on_the_encoding(self, q):
@@ -252,11 +264,12 @@ class TestStructureTables:
             assert (f4.trace_bit(c) == 0) == solvable
 
     def test_odd_char_squares(self):
-        F = make_field(5, 1)
-        assert F.nonzero_squares == {1, 4}
-        F9 = make_field(3, 2)
-        scan = {F9.mul(x, x) for x in range(1, 9)}
-        assert F9.nonzero_squares == frozenset(scan)
+        assert make_field(5, 1).nonzero_squares == {1, 4}
+
+    @pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 16, 25, 27, 49, 64])
+    def test_nonzero_squares_match_the_scan(self, q):
+        F = builtin_field(q)
+        assert F.nonzero_squares == frozenset(F.mul(x, x) for x in range(1, q))
 
     def test_root_tables(self):
         F8 = make_field(2, 3)

@@ -191,6 +191,19 @@ class TestGroupLaw:
                 with pytest.raises(InvalidDivisorError):
                     add(curve, d1, d2)
 
+    def test_formal_negatives_the_two_laws_treat_differently(self):
+        # (x^2, x) is off y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2 and is its
+        # own formal negative: v + v + h = x^2 = 0 mod x^2.  The formulas
+        # return the identity; Cantor's gcd meets v1 v2 + f, which x^2 does
+        # not divide
+        curve = validate_curve(make_field(2, 1), (0, 0, 1), (1, 1, 0, 0, 1, 1))
+        bad = MumfordDivisor((0, 0, 1), (0, 1))
+        with pytest.raises(InvalidDivisorError):
+            check_divisor(curve, bad)
+        assert cantor_add(curve, bad, bad) == IDENTITY
+        with pytest.raises(InvalidDivisorError):
+            _cantor(curve, bad, bad)
+
     def test_invalid_divisor_rejected(self, curve_e2):
         with pytest.raises(InvalidDivisorError):
             check_divisor(curve_e2, MumfordDivisor((1, 1), (0, 1)))  # deg v == deg u
@@ -510,6 +523,8 @@ class TestTranslateExperiments:
         assert exp.support_count == 5
         assert exp.weight_surrogate == 8
         assert not exp.attained
+        assert exp.to_dict() == {"points": [{"u": [1], "v": []}] * 3, "support_count": 5,
+                                 "attained": False, "weight_surrogate": 8}
 
     def test_single_translate(self, curve_e2):
         exp = translate_support_count(curve_e2, (IDENTITY,))
