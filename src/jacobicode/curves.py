@@ -172,6 +172,9 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
 
     h and f are evaluated by Horner on the discrete-log tables of E; h is
     read only in characteristic 2, as odd-characteristic models have h = 0.
+    The loop is fused rather than built on ``FiniteField.values``: f(x) is
+    skipped where h(x) = 0 and nothing is stored per x.  Reading h and f
+    from ``values`` made the F_16 counts (k = 1 plus k = 2) 12 to 16% slower.
     """
     log, exp2, n = E.log, E.exp2, E.q - 1
     f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term

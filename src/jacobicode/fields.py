@@ -7,7 +7,10 @@ also the wire format.  Every field, prime fields included, multiplies
 through precomputed discrete-log tables, and the hot loops (point
 counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
-Python.  In odd characteristic the same tables decide squares and give
+Python.  ``FiniteField.values`` evaluates a polynomial at many points by
+Horner on the tables; the group enumeration and the embeddings use it,
+and only the point-counting kernel keeps its own fused loop.  In odd
+characteristic the same tables decide squares and give
 square roots: a nonzero x is a square iff log x is even.  Odd extension
 fields with q <= 1024 also keep a q x q addition table, composed row by
 row from carry-free single-digit steps.
@@ -17,7 +20,8 @@ of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
 the non-leading coefficient tuples are ordered by their integer encoding.
 This makes element encodings reproducible across runs and machines without
 shipping literal tables; the irreducibility of every modulus, supplied or
-generated, is checked by trial factor search.
+generated, is checked by trial factor search.  ``make_field`` keeps one
+instance per field, so the tables of a field are built once per process.
 """
 
 from __future__ import annotations
@@ -100,8 +104,13 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return _ptrim(a)
 
 
-def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial factor search: no monic divisor of degree 1..deg(m)//2."""
+@lru_cache(maxsize=None)
+def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
+    """Trial factor search: no monic divisor of degree 1..deg(m)//2.
+
+    Cached, as ``make_field`` validates its arguments on every call, an
+    unpickled field included, and the search takes milliseconds for a
+    modulus of degree 16."""
     deg = len(m) - 1
     if deg <= 0:
         return False
@@ -177,6 +186,7 @@ class FiniteField:
         self.a = a
         self.q = q
         self.modulus = tuple(modulus)
+        self._modulus_int = _undigits(modulus, p)  # x^a reduces by XOR in char 2
 
     # -- identity ----------------------------------------------------------
 
@@ -216,8 +226,7 @@ class FiniteField:
         if self.a == 1:
             return x * y % self.p
         if self.p == 2:
-            m = _undigits(self.modulus, 2)
-            a = self.a
+            m, a = self._modulus_int, self.a
             r = 0
             while y:
                 if y & 1:
@@ -366,6 +375,30 @@ class FiniteField:
                 return g
         raise AssertionError("multiplicative group has no generator; modulus reducible?")
 
+    def values(self, coeffs: Sequence[int], xs: Iterable[int]) -> list[int]:
+        """The values at the xs of the polynomial with the given coefficients.
+
+        Horner from the leading coefficient on the log tables, with XOR as
+        the addition in characteristic 2; 0 has a logarithm, so x = 0 and a
+        zero accumulator need no branch.  The zero polynomial is 0 everywhere.
+        """
+        log, exp2, add = self.log, self.exp2, self.add
+        lead, *rest = coeffs[::-1] or (0,)
+        out = []
+        if self.p == 2:
+            for x in xs:
+                lx, acc = log[x], lead
+                for c in rest:
+                    acc = exp2[log[acc] + lx] ^ c
+                out.append(acc)
+        else:
+            for x in xs:
+                lx, acc = log[x], lead
+                for c in rest:
+                    acc = add(exp2[log[acc] + lx], c)
+                out.append(acc)
+        return out
+
     # -- structure helpers used by point counting ---------------------------
 
     @cached_property
@@ -395,21 +428,25 @@ class FiniteField:
         return table
 
 
-@lru_cache(maxsize=None)
-def _cached_field(p: int, a: int, modulus: tuple[int, ...] | None,
-                  allow_large: bool) -> FiniteField:
-    return FiniteField(p, a, modulus, allow_large=allow_large)
+_FIELDS: dict[FiniteField, FiniteField] = {}
 
 
 def _rebuild_field(p: int, a: int, modulus: tuple[int, ...]) -> "FiniteField":
-    return _cached_field(p, a, tuple(modulus), True)
+    return make_field(p, a, modulus, allow_large=True)
 
 
 def make_field(p: int, a: int = 1, modulus: Iterable[int] | None = None,
                *, allow_large: bool = False) -> FiniteField:
-    """Validated F_{p^a}; equal arguments return the same cached instance."""
-    mod = tuple(int(c) for c in modulus) if modulus is not None else None
-    return _cached_field(p, a, mod, allow_large)
+    """Validated F_{p^a}: one cached instance per field.
+
+    The arguments are validated first, the size cap included, and the
+    cache is keyed by (p, a, modulus) with the modulus reduced mod p and
+    the default resolved, so every spelling of a field, an unpickled copy
+    and the extension field of ``extend_field`` share one instance and one
+    set of tables.
+    """
+    field = FiniteField(p, a, modulus, allow_large=allow_large)
+    return _FIELDS.setdefault(field, field)
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -457,29 +494,19 @@ class FieldEmbedding:
             self.root = self._find_root()
 
     def _find_root(self) -> int:
-        ext = self.ext
-        mod = self.base.modulus  # coefficients lie in the prime field
-        mul, add = ext.mul, ext.add
-        for cand in range(ext.q):
-            acc = 0
-            for c in reversed(mod):
-                acc = add(mul(acc, cand), c)
-            if acc == 0:
-                return cand
-        raise AssertionError("base modulus has no root in the extension")
+        # the roots are nonzero and lie in the subfield of order q, whose
+        # nonzero elements are the powers of g^((Q-1)/(q-1)); the modulus
+        # has its coefficients in the prime field, encoded alike in both
+        ext, q = self.ext, self.base.q
+        step = (ext.q - 1) // (q - 1)
+        xs = [ext.exp2[j * step] for j in range(q - 1)]
+        return min(x for x, y in zip(xs, ext.values(self.base.modulus, xs)) if y == 0)
 
     @cached_property
     def image(self) -> tuple[int, ...]:
         """The images of the base field's elements, in encoding order."""
-        base, ext, rho = self.base, self.ext, self.root
-        mul, add = ext.mul, ext.add
-        table = []
-        for x in range(base.q):
-            acc = 0
-            for c in reversed(base.coeffs(x)):
-                acc = add(mul(acc, rho), c)
-            table.append(acc)
-        return tuple(table)
+        base, values, at = self.base, self.ext.values, (self.root,)
+        return tuple(values(base.coeffs(x), at)[0] for x in range(base.q))
 
     def __call__(self, x: int) -> int:
         return self.image[x]

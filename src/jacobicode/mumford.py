@@ -14,7 +14,8 @@ u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
 (Cantor 1987), so the classes come from the points over F_q (split u,
 including a double root lifted to second order) and over F_{q^2}
 (irreducible u, one point per Frobenius pair) in O(q^2) field
-operations, with products and quotients on the discrete-log tables.  The
+operations: h, f and their derivatives come from ``FiniteField.values``,
+and products and quotients run on the discrete-log tables.  The
 classes are made once, as flat int tuples that sort in the wire order
 with no key function, and wrapped once as MumfordDivisor records, a
 NamedTuple of the coefficient tuples u and v.  The resulting cardinality
@@ -41,7 +42,7 @@ from .errors import (
     OrderMismatchError,
     RealModelUnsupportedError,
 )
-from .fields import FiniteField, extend_field
+from .fields import extend_field
 from .weil import jacobian_order, weil_from_counts
 
 JACOBIAN_Q_CAP = 64
@@ -353,28 +354,6 @@ def in_theta(d: MumfordDivisor) -> bool:
     return len(d.u) <= 2
 
 
-def _horner(E: FiniteField, coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """The values of a polynomial at the xs, by Horner on the log tables of
-    E (XOR in characteristic 2); 0 has a logarithm there, so x = 0 and a
-    zero accumulator need no branch."""
-    log, exp2, add = E.log, E.exp2, E.add
-    lead, *rest = coeffs[::-1] or (0,)  # Horner from the leading term
-    out = []
-    if E.p == 2:
-        for x in xs:
-            lx, acc = log[x], lead
-            for c in rest:
-                acc = exp2[log[acc] + lx] ^ c
-            out.append(acc)
-    else:
-        for x in xs:
-            lx, acc = log[x], lead
-            for c in rest:
-                acc = add(exp2[log[acc] + lx], c)
-            out.append(acc)
-    return out
-
-
 def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     """Every (u, v) with u monic, deg v < deg u <= 2 and u | v^2 + h v - f,
     sorted by (deg u, u, v).
@@ -395,7 +374,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     solve = F.quadratic_roots
 
     # u = x - a: v is a root y over a
-    hs, fs = _horner(F, h, F.elements()), _horner(F, f, F.elements())
+    hs, fs = F.values(h, F.elements()), F.values(f, F.elements())
     roots = [solve(hs[a], fs[a]) for a in range(q)]
     points = [(neg(a), y) for a, ys in enumerate(roots) for y in ys]
 
@@ -415,12 +394,11 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
 
     # u = (x - a)^2: v = y + v1 (x - a) with (2y + h(a)) v1 = f'(a) - h'(a) y
     mul, inv = F.mul, F.inv
-    dh, df = poly.derivative(F, h), poly.derivative(F, f)
-    for a, ys in enumerate(roots):
-        if not ys:
-            continue
+    at = [a for a, _, _ in above]
+    dhs = F.values(poly.derivative(F, h), at)
+    dfs = F.values(poly.derivative(F, f), at)
+    for (a, _, ys), dha, dfa in zip(above, dhs, dfs):
         u0, u1 = mul(a, a), neg(add(a, a))
-        dha, dfa = poly.evaluate(F, dh, a), poly.evaluate(F, df, a)
         for y in ys:
             coef = add(add(y, y), hs[a])
             rhs = sub(dfa, mul(dha, y))
@@ -444,7 +422,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     eadd, esub, eneg = E.add, E.sub, E.neg
     esolve = E.quadratic_roots
     xs = emb.frobenius_pairs
-    for x, hx, fx in zip(xs, _horner(E, emb.map_poly(h), xs), _horner(E, emb.map_poly(f), xs)):
+    for x, hx, fx in zip(xs, E.values(emb.map_poly(h), xs), E.values(emb.map_poly(f), xs)):
         ys = esolve(hx, fx)
         if not ys:
             continue

@@ -146,14 +146,6 @@ def ext_gcd(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[Poly, P
     return r0, s0, t0
 
 
-def evaluate(F: FiniteField, a: Sequence[int], x: int) -> int:
-    fadd, fmul = F.add, F.mul
-    acc = 0
-    for c in reversed(a):
-        acc = fadd(fmul(acc, x), c)
-    return acc
-
-
 def derivative(F: FiniteField, a: Sequence[int]) -> Poly:
     p = F.p
     fmul = F.mul

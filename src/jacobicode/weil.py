@@ -127,19 +127,13 @@ def weil_from_counts(q: int, n1: int, n2: int) -> WeilData:
 
 
 def power_sums(w: WeilData, k_max: int) -> list[int]:
-    """Power sums p_1..p_k of the four roots, by Newton's identities."""
-    a1, a2, a3, a4 = w.c1, w.c2, w.q * w.c1, w.q * w.q
+    """Power sums p_1..p_k of the four roots, by Newton's identities:
+    p_k = -(k a_k + a_1 p_(k-1) + ... + a_(k-1) p_1), with a_1..a_4 the
+    quartic's coefficients below the leading one and a_k = 0 for k > 4."""
+    a = [0, w.c1, w.c2, w.q * w.c1, w.q * w.q] + [0] * max(0, k_max - 4)
     ps = [0] * (k_max + 1)
-    if k_max >= 1:
-        ps[1] = -a1
-    if k_max >= 2:
-        ps[2] = -(a1 * ps[1] + 2 * a2)
-    if k_max >= 3:
-        ps[3] = -(a1 * ps[2] + a2 * ps[1] + 3 * a3)
-    if k_max >= 4:
-        ps[4] = -(a1 * ps[3] + a2 * ps[2] + a3 * ps[1] + 4 * a4)
-    for k in range(5, k_max + 1):
-        ps[k] = -(a1 * ps[k - 1] + a2 * ps[k - 2] + a3 * ps[k - 3] + a4 * ps[k - 4])
+    for k in range(1, k_max + 1):
+        ps[k] = -(k * a[k] + sum(a[i] * ps[k - i] for i in range(1, min(k, 5))))
     return ps
 
 

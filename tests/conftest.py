@@ -19,6 +19,15 @@ from jacobicode.fields import field_from_order, make_field
 CORPUS_SLICE = {2: None, 3: None, 4: 12, 5: 12}
 
 
+def evaluate(F, a, x):
+    """a(x) by Horner on ``F.add`` and ``F.mul``: the oracles' evaluator,
+    kept apart from the library's ``FiniteField.values``."""
+    acc = 0
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2, 1)

@@ -38,6 +38,7 @@ from jacobicode.errors import (
 from jacobicode.explore import RANDOM, SearchSpace, enumerate_curves
 from jacobicode.fields import extend_field, field_from_order, make_field
 from jacobicode.weil import serre_constant
+from conftest import evaluate
 
 
 # -- oracles -----------------------------------------------------------------
@@ -73,7 +74,7 @@ def curve_points(curve, k=1):
         roots = E.quadratic_roots(poly.coefficient(hh, 3), poly.coefficient(ff, 6))
         pts.extend(CurvePoint(None, z) for z in roots)
     for x in E.elements():
-        roots = E.quadratic_roots(poly.evaluate(E, hh, x), poly.evaluate(E, ff, x))
+        roots = E.quadratic_roots(evaluate(E, hh, x), evaluate(E, ff, x))
         pts.extend(CurvePoint(x, y) for y in roots)
     return pts
 
@@ -86,8 +87,8 @@ def brute_count(field, h, f, kind, k=1):
     total = 0
     for x in E.elements():
         for y in E.elements():
-            lhs = E.add(E.mul(y, y), E.mul(poly.evaluate(E, hh, x), y))
-            if lhs == poly.evaluate(E, ff, x):
+            lhs = E.add(E.mul(y, y), E.mul(evaluate(E, hh, x), y))
+            if lhs == evaluate(E, ff, x):
                 total += 1
     if kind == "imaginary":
         total += 1
@@ -199,10 +200,10 @@ def has_singular_point(field, h, f):
             hd, fd = emb.map_poly(hh), emb.map_poly(ff)
             hp, fp = poly.derivative(E, hd), poly.derivative(E, fd)
             for x in E.elements():
-                hx = poly.evaluate(E, hd, x)
-                fx = poly.evaluate(E, fd, x)
-                hpx = poly.evaluate(E, hp, x)
-                fpx = poly.evaluate(E, fp, x)
+                hx = evaluate(E, hd, x)
+                fx = evaluate(E, fd, x)
+                hpx = evaluate(E, hp, x)
+                fpx = evaluate(E, fp, x)
                 for y in E.elements():
                     if (E.add(E.mul(y, y), E.mul(hx, y)) == fx
                             and E.add(E.add(y, y), hx) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 from random import Random
 
 import pytest
@@ -82,6 +83,14 @@ class TestConstruction:
         F = make_field(3, 2)
         assert FiniteField.from_dict(F.to_dict()) == F
         assert F.to_dict() == {"p": 3, "a": 2, "modulus": [1, 0, 1]}
+
+    def test_one_instance_per_field(self):
+        F = make_field(2, 4)
+        assert field_from_order(16) is F
+        assert extend_field(make_field(2, 2), 2, allow_large=True).ext is F
+        assert make_field(2, 4, (3, 1, 0, 0, 1)) is F  # the default modulus, unreduced
+        assert pickle.loads(pickle.dumps(F)) is F
+        assert FiniteField.from_dict(F.to_dict()) is F
 
 
 class TestArithmetic:
@@ -201,6 +210,29 @@ class TestArithmetic:
             expected = [encode([(s + t) % p for s, t in zip(cx, cy)]) for cy in digits]
             assert [F.add(x, y) for y in range(q)] == expected, x
             assert [F.sub(x, y) for y in range(q)] == [expected[negs[y]] for y in range(q)], x
+
+    @pytest.mark.parametrize("p,a,k", [(2, 1, 1), (2, 4, 1), (2, 3, 2), (5, 1, 1),
+                                       (31, 1, 1), (3, 2, 1), (5, 3, 1), (7, 2, 2)],
+                             ids=["q2", "q16", "q64", "q5", "q31", "q9", "q125", "q2401"])
+    def test_values_matches_term_sum(self, p, a, k):
+        """Horner on the log tables against sum c_i x^i, with x^i by repeated
+        products: char 2, prime, odd extensions with the q x q addition table
+        and above 1024 (F_2401 as F_49^2).  The zero polynomial, a zero
+        leading coefficient and x = 0 are always tried."""
+        F = extend_field(make_field(p, a), k).ext
+        q = F.q
+        rng = Random(q)
+        xs = range(q) if q <= 64 else [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
+        for coeffs in [(), (0,), (q - 1,), (1, q - 1, 0)] + [
+                tuple(rng.randrange(q) for _ in range(n)) for n in range(1, 8) for _ in range(3)]:
+            expected = []
+            for x in xs:
+                acc, power = 0, 1
+                for c in coeffs:
+                    acc = F.add(acc, F.mul(c, power))
+                    power = F.mul(power, x)
+                expected.append(acc)
+            assert F.values(coeffs, xs) == expected, coeffs
 
     def test_pow_matches_repeated_product(self, f4):
         for x in f4.elements():

@@ -37,6 +37,7 @@ from jacobicode.mumford import (
     zero_sum_tuples,
 )
 from jacobicode.weil import jacobian_order, weil_from_counts
+from conftest import evaluate
 from test_curves import INFINITY, CurvePoint, curve_points
 
 D_X0 = MumfordDivisor((0, 1), ())     # (x, 0)
@@ -52,8 +53,8 @@ def embed_point(curve: CurveModel, pt: CurvePoint) -> MumfordDivisor:
     x, y = pt.x, pt.y
     if not (0 <= x < F.q and 0 <= y < F.q):
         raise ValueError(f"({x}, {y}) is not over F_{F.q}")
-    lhs = F.add(F.mul(y, y), F.mul(poly.evaluate(F, curve.h, x), y))
-    if lhs != poly.evaluate(F, curve.f, x):
+    lhs = F.add(F.mul(y, y), F.mul(evaluate(F, curve.h, x), y))
+    if lhs != evaluate(F, curve.f, x):
         raise ValueError(f"({x}, {y}) does not satisfy the curve equation")
     return MumfordDivisor((F.neg(x), 1), (y,) if y else ())
 
@@ -75,8 +76,8 @@ def scan_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     # degree-1 classes correspond to affine curve points
     for u0 in range(q):
         x0 = neg(u0)
-        hx = poly.evaluate(F, h, x0)
-        fx = poly.evaluate(F, f, x0)
+        hx = evaluate(F, h, x0)
+        fx = evaluate(F, f, x0)
         for v0 in range(q):
             if add(mul(v0, v0), mul(hx, v0)) == fx:
                 out.append(MumfordDivisor((u0, 1), (v0,) if v0 else ()))

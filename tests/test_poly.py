@@ -43,18 +43,6 @@ def test_ext_gcd_bezout(q, a, b):
         assert not poly.mod(F, a, g) and not poly.mod(F, b, g)
 
 
-@given(st.sampled_from(FIELDS), polys, st.integers(min_value=0, max_value=8))
-@settings(max_examples=100, deadline=None)
-def test_evaluate_matches_term_sum(q, a, x):
-    F = field_from_order(q)
-    a = reduce_coeffs(F, a)
-    x %= F.q
-    acc = 0
-    for i, c in enumerate(a):
-        acc = F.add(acc, F.mul(c, F.pow_(x, i)))
-    assert poly.evaluate(F, a, x) == acc
-
-
 @given(st.sampled_from(FIELDS), polys, polys)
 @settings(max_examples=100, deadline=None)
 def test_product_rule(q, a, b):
