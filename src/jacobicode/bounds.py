@@ -8,17 +8,24 @@ maximum over the ways a curve can split into components is computed in
 closed form; the exhaustive search over component decompositions that it
 is tested against lives in the tests.  Every entry point accepts only the
 radii of that test, 1 <= r <= R_MAX (``check_radii``).
+
+``code_params`` depends on the isogeny class and r alone, so it is
+memoized on (Weil data, N1, r) in an LRU cache of ``CLASS_CACHE_SIZE``
+entries, the bound of the Weil caches.  The cached ``CodeReport`` is an
+immutable NamedTuple.  An exception is never cached, so a radius outside
+1..R_MAX raises on every call.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidGenusError, InvalidRError, TraceHypothesisViolatedError
-from .weil import SimplicityVerdict, Verdict, WeilData, classify_simplicity, \
-    jacobian_order, serre_constant
+from .weil import CLASS_CACHE_SIZE, SimplicityVerdict, Verdict, WeilData, \
+    classify_simplicity, jacobian_order, serre_constant
 
 
 R_MAX = 6  # the closed form is tested against the brute-force maximizer up to here
@@ -90,6 +97,7 @@ class CodeReport(NamedTuple):
         }
 
 
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def code_params(w: WeilData, n1: int, r: int) -> CodeReport:
     """Length, dimension and distance lower bound of the code for radius r.
 

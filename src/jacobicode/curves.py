@@ -19,10 +19,17 @@ infinity) are read off ``quadratic_roots``, and an imaginary model has one
 point at infinity.  Over F_{q^2} the loop visits the image of F_q once and
 one x per Frobenius pair {x, x^q} outside F_q twice, since x^q has as many
 points above it as x.
+
+``count_points`` is memoized on (curve, k) in an LRU cache of 256
+entries, the bound of the group enumeration's cache, so a pipeline that
+counts a curve and then enumerates its Jacobian runs the counting loop
+once per k.  The cached ``PointCount`` is immutable.  An exception (the
+point budget) is never cached, so a rejected call raises on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import poly
@@ -152,6 +159,7 @@ def _lifted(curve: CurveModel, k: int) -> tuple[FiniteField, tuple[int, ...], tu
     return emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
 
 
+@lru_cache(maxsize=256)
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     """Exhaustive number of points of the smooth model over F_{q^k}."""
     _check_budget(curve, k)

@@ -134,6 +134,12 @@ def default_modulus(p: int, a: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {a} over F_{p}")
 
 
+def _check_cap(p: int, a: int) -> None:
+    # p^a >= 2^a, so the cap is checked without computing a huge power
+    if a >= SIZE_CAP.bit_length() or p ** a > SIZE_CAP:
+        raise FieldTooLargeError(f"q = {p}^{a} exceeds the cap {SIZE_CAP}")
+
+
 class FiniteField:
     """A validated field spec for F_{p^a} plus arithmetic on encodings.
 
@@ -166,9 +172,8 @@ class FiniteField:
             raise NotPrimeError(f"p = {p} is not prime")
         if not isinstance(a, int) or a < 1:
             raise ValueError(f"extension degree must be a positive integer, got {a}")
-        # p^a >= 2^a, so the cap is checked without computing a huge power
-        if not allow_large and (a >= SIZE_CAP.bit_length() or p ** a > SIZE_CAP):
-            raise FieldTooLargeError(f"q = {p}^{a} exceeds the cap {SIZE_CAP}")
+        if not allow_large:
+            _check_cap(p, a)
         if prime_factors(p) != [p]:
             raise NotPrimeError(f"p = {p} is not prime")
         q = p ** a
@@ -531,11 +536,21 @@ class FieldEmbedding:
         return tuple(x for x in self.ext.elements() if pow_(x, q) > x)
 
 
-@lru_cache(maxsize=None)
 def extend_field(field: FiniteField, k: int, *, allow_large: bool = False) -> FieldEmbedding:
-    """F_{q^k} together with the embedding of F_q into it."""
+    """F_{q^k} together with the embedding of F_q into it.
+
+    The size cap is checked first, unless ``allow_large``; the embedding is
+    then cached by (field, k) alone, so both spellings share one embedding
+    and one set of lazy tables.
+    """
     if k < 1:
         raise ValueError("extension degree k must be >= 1")
-    ext = make_field(field.p, field.a * k, allow_large=allow_large)
-    return FieldEmbedding(field, ext)
+    if not allow_large:
+        _check_cap(field.p, field.a * k)
+    return _embedding(field, k)
+
+
+@lru_cache(maxsize=64)
+def _embedding(field: FiniteField, k: int) -> FieldEmbedding:
+    return FieldEmbedding(field, make_field(field.p, field.a * k, allow_large=True))
 

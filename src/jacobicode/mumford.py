@@ -470,6 +470,7 @@ def enumerate_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
 
     out = _reduced_divisors(curve)
 
+    # counts a caller has just taken come from count_points' cache
     n1 = count_points(curve, 1).count
     n2 = count_points(curve, 2).count
     expected = jacobian_order(weil_from_counts(q, n1, n2))

@@ -8,18 +8,29 @@ read off in closed form from the real quadratic g with f(t) = t^2 g(t + q/t)
 checked by multiplying back.  Simplicity of the Jacobian is decided from the factorization
 shape alone; the repeated-quadratic case with middle coefficient divisible
 by the characteristic is deliberately left Unknown.
+
+Everything here depends on the isogeny class (q, c1, c2) alone, never on
+the curve, so ``weil_from_counts`` (keyed by (q, N1, N2)) and
+``classify_simplicity`` (keyed by the Weil data) are memoized in LRU caches
+of ``CLASS_CACHE_SIZE`` entries; a search meets far fewer classes than
+curves.  The cached records are immutable NamedTuples.  An exception is
+never cached, so invalid counts raise on every call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InconsistentCountsError, NotPrimeError
 from .fields import prime_power
 
 IntPoly = tuple[int, ...]  # integer coefficients, low degree first
+
+# entries of each per-class cache; F_16 has 713 classes and F_64 has 5521
+CLASS_CACHE_SIZE = 4096
 
 
 def serre_constant(q: int) -> int:
@@ -113,6 +124,7 @@ class WeilData(_WeilFields):
         return {"q": self.q, "p": self.p, "c1": self.c1, "c2": self.c2}
 
 
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def weil_from_counts(q: int, n1: int, n2: int) -> WeilData:
     """Invert N_k = q^k + 1 - (k-th power sum of the Frobenius roots), k = 1, 2."""
     if n1 < 0 or n2 < 0:
@@ -147,8 +159,9 @@ def extension_count(w: WeilData, k: int) -> int:
 def jacobian_order(w: WeilData) -> int:
     """Value of the quartic at 1; cross-checked against (N2 + N1^2)/2 - q."""
     n = 1 + w.c1 + w.c2 + w.q * w.c1 + w.q * w.q
-    n1 = extension_count(w, 1)
-    n2 = extension_count(w, 2)
+    ps = power_sums(w, 2)
+    n1 = w.q + 1 - ps[1]
+    n2 = w.q ** 2 + 1 - ps[2]
     alt = (n2 + n1 * n1) // 2 - w.q
     if 2 * alt != n2 + n1 * n1 - 2 * w.q or alt != n:
         raise AssertionError(f"order formulas disagree: {n} vs {alt}")
@@ -242,6 +255,7 @@ class SimplicityVerdict(NamedTuple):
         return self.verdict is Verdict.SIMPLE
 
 
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def classify_simplicity(w: WeilData) -> SimplicityVerdict:
     """Simple / not simple / unknown from the factorization shape.
 

@@ -55,6 +55,12 @@ def test_tracing_wraps_and_restores_the_library(perfbench):
         assert curves.validate_curve is not before[1]["validate_curve"]
         curves.validate_curve(run.fields.make_field(2), (1,), (0, 0, 0, 0, 0, 1))
         assert tracer.calls["curves.validate"] == 1
+        # the memo caches' wrappers still open one span per call
+        curve = curves.validate_curve(run.fields.make_field(2, 4), (1,), (0, 0, 0, 0, 0, 1))
+        explore.analyze_curve(curve, (3,))
+        for name in ("curves.count_k1", "curves.count_k2", "weil.classify",
+                     "bounds.code_params"):
+            assert tracer.calls[name] >= 1, name
     finally:
         tracer.restore()
     assert [dict(vars(m)) for m in modules] == before

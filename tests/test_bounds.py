@@ -22,7 +22,9 @@ from jacobicode.bounds import (
 )
 from jacobicode.curves import count_points
 from jacobicode.errors import InvalidRError, TraceHypothesisViolatedError
-from jacobicode.weil import Verdict, WeilData, serre_constant, weil_from_counts
+from jacobicode.weil import Verdict, WeilData, classify_simplicity, serre_constant, \
+    weil_from_counts
+from test_weil import weil_grid
 
 GRID_QS = (2, 3, 4, 5, 7, 8, 9, 16)
 BRUTEFORCE_R_CAP = 6
@@ -243,8 +245,9 @@ class TestCodeParams:
         # the policy covers exactly the radii the brute-force oracle checks
         assert R_MAX == BRUTEFORCE_R_CAP
         for r in (0, R_MAX + 1):
-            with pytest.raises(InvalidRError):
-                code_params(w, 5, r)
+            for _ in range(2):  # an exception is never cached
+                with pytest.raises(InvalidRError):
+                    code_params(w, 5, r)
         assert code_params(w, 5, R_MAX).k == R_MAX ** 2
         rep = code_params(w, 5, 2)
         assert "very-ample-not-guaranteed" in rep.warnings
@@ -256,3 +259,18 @@ class TestCodeParams:
         if rep.simplicity.is_simple and rep.d_lb > 0:
             assert rep.certified
         assert rep.k == 9
+
+    def test_cached_equals_fresh(self):
+        classes = [(w, w.q + 1 + w.c1) for w in weil_grid(16) if w.q in GRID_QS]
+        radii = range(1, R_MAX + 1)
+        for w, n1 in classes:  # warm the cache
+            for r in radii:
+                code_params(w, n1, r)
+        for w, n1 in classes:
+            for r in radii:
+                assert code_params(w, n1, r) == code_params.__wrapped__(w, n1, r)
+
+    def test_caches_are_bounded(self):
+        # an unbounded cache would grow with every class a long search meets
+        for fn in (count_points, weil_from_counts, classify_simplicity, code_params):
+            assert fn.cache_parameters()["maxsize"] is not None, fn.__name__

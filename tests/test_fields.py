@@ -88,6 +88,9 @@ class TestConstruction:
         F = make_field(2, 4)
         assert field_from_order(16) is F
         assert extend_field(make_field(2, 2), 2, allow_large=True).ext is F
+        # the cap is checked before the cache, so both spellings share one embedding
+        assert extend_field(make_field(2, 2), 2) is extend_field(make_field(2, 2), 2,
+                                                                 allow_large=True)
         assert make_field(2, 4, (3, 1, 0, 0, 1)) is F  # the default modulus, unreduced
         assert pickle.loads(pickle.dumps(F)) is F
         assert FiniteField.from_dict(F.to_dict()) is F

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from jacobicode import mumford, poly
-from jacobicode.curves import CurveModel, count_points, validate_curve
+from jacobicode.curves import CurveModel, _roots_above, count_points, validate_curve
 from jacobicode.errors import (
     GenusNotTwoError,
     InvalidDivisorError,
@@ -19,7 +19,7 @@ from jacobicode.errors import (
     RealModelUnsupportedError,
     SingularModelError,
 )
-from jacobicode.explore import RANDOM, SearchSpace, enumerate_curves
+from jacobicode.explore import RANDOM, SearchSpace, analyze_curve, enumerate_curves
 from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
@@ -389,6 +389,23 @@ class TestEnumeration:
         curve = validate_curve(F128, (1,), (0, 0, 0, 0, 0, 1))
         with pytest.raises(BudgetExceededError):
             enumerate_jacobian(curve)
+
+    def test_order_check_reuses_the_counts(self, corpus, monkeypatch):
+        # the tripwire reads the counts analyze_curve has just taken
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return _roots_above(*args)
+
+        monkeypatch.setattr("jacobicode.curves._roots_above", counted)
+        count_points.cache_clear()
+        for curve in corpus[3]:
+            analyze_curve(curve, (3,))
+            before = len(runs)
+            enumerate_jacobian.__wrapped__(curve)
+            assert len(runs) == before, curve
+        assert runs  # the kernel ran, for analyze_curve
 
     def test_corrupt_model_trips_loudly(self, f2):
         # bypass validation: y^2 + xy = x^5 is singular at the origin, where

@@ -202,8 +202,9 @@ class TestFromCounts:
         assert w.coefficients() == (4, 4, 2, 2, 1)
 
     def test_half_integer_rejected(self):
-        with pytest.raises(InconsistentCountsError):
-            weil_from_counts(2, 3, 4)
+        for _ in range(2):  # an exception is never cached
+            with pytest.raises(InconsistentCountsError):
+                weil_from_counts(2, 3, 4)
 
     def test_serre_violation_rejected(self):
         with pytest.raises(InconsistentCountsError):
@@ -392,3 +393,21 @@ class TestSimplicity:
                 simple = classify_simplicity(w).verdict is Verdict.SIMPLE
                 irreducible = factor_weil(w).shape is FactorShape.IRREDUCIBLE_QUARTIC
                 assert simple == irreducible
+
+
+class TestClassCaches:
+    """The per-class caches give what a fresh computation gives."""
+
+    def test_cached_equals_fresh(self):
+        classes = [w for w in weil_grid(16) if w.q in (2, 3, 4, 5, 7, 8, 9, 16)]
+        counts = {w: (w.q, extension_count(w, 1), extension_count(w, 2)) for w in classes}
+        # a quartic on the circle can give N1 < 0 or N2 < 0, which no curve has
+        counts = {w: qn for w, qn in counts.items() if min(qn) >= 0}
+        for w in classes:  # warm the caches
+            classify_simplicity(w)
+        for qn in counts.values():
+            weil_from_counts(*qn)
+        for w in classes:
+            assert classify_simplicity(w) == classify_simplicity.__wrapped__(w)
+        for w, qn in counts.items():
+            assert weil_from_counts(*qn) == weil_from_counts.__wrapped__(*qn) == w
