@@ -12,13 +12,16 @@ smoothness criterion applies per characteristic:
 
 Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
 read off the quadratic in y (square test in odd characteristic, trace test
-in characteristic 2).  One loop, Horner on the discrete-log tables of
-F_{q^k}, covers every x, 0 included, since the tables give 0 a logarithm.
-The points at infinity of a real model (z^2 + h3 z = f6 on the chart at
-infinity) are read off ``quadratic_roots``, and an imaginary model has one
-point at infinity.  Over F_{q^2} the loop visits the image of F_q once and
-one x per Frobenius pair {x, x^q} outside F_q twice, since x^q has as many
-points above it as x.
+in characteristic 2), on the discrete-log tables of F_{q^k}, for every x, 0
+included, since the tables give 0 a logarithm.  In characteristic 2 each x
+comes as its cached row of power logs (log x, ..., log x^6), 2n for x = 0
+with n = q^k - 1, so a term c x^i is one lookup ``exp2[log[c] + r_i]``
+whose index, at most 4n, stays inside the zero tail, and the terms add by
+XOR; odd characteristic evaluates f by Horner.  The points at infinity of
+a real model (z^2 + h3 z = f6 on the chart at infinity) are read off
+``quadratic_roots``, and an imaginary model has one point at infinity.
+Over F_{q^2} the loop visits the image of F_q once and one x per Frobenius
+pair {x, x^q} outside F_q twice, since x^q has as many points above it as x.
 
 ``count_points`` is memoized on (curve, k) in an LRU cache of 256
 entries, the bound of the group enumeration's cache, so a pipeline that
@@ -93,11 +96,13 @@ class PointCount(NamedTuple):
 
 def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> CurveModel:
     """Check degrees, smoothness and genus; return the normalized model."""
+    q = field.q
+    # checked before trimming, so a trailing False or 0.0 is not dropped as a zero;
+    # a bool is an int subclass, but True would print as true in the wire format
+    if any(type(c) is not int or not 0 <= c < q for c in (*h, *f)):
+        raise MalformedCurveError("coefficients must be integer encodings below q")
     h = poly.trim(h)
     f = poly.trim(f)
-    q = field.q
-    if any(not isinstance(c, int) or not 0 <= c < q for c in h + f):
-        raise MalformedCurveError("coefficients must be integer encodings below q")
     df = poly.degree(f)
     if df not in (5, 6):
         raise WrongDegreeError(f"deg f must be 5 or 6, got {df}")
@@ -166,45 +171,62 @@ def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     E, hh, ff = _lifted(curve, k)
     # a real model has the roots z of z^2 + h3 z = f6 on the chart at infinity
     total = 1 if curve.is_imaginary else len(E.quadratic_roots(poly.coefficient(hh, 3), ff[6]))
+    char2 = E.p == 2  # the characteristic-2 kernel reads the power-log rows of the x
     if k == 2:
         emb = extend_field(curve.field, 2, allow_large=True)
-        total += (_roots_above(E, hh, ff, emb.image)
-                  + 2 * _roots_above(E, hh, ff, emb.frobenius_pairs))
+        image, pairs = ((emb.image_power_logs, emb.pair_power_logs) if char2
+                        else (emb.image, emb.frobenius_pairs))
+        total += _roots_above(E, hh, ff, image) + 2 * _roots_above(E, hh, ff, pairs)
     else:
-        total += _roots_above(E, hh, ff, E.elements())
+        total += _roots_above(E, hh, ff, E.power_logs if char2 else E.elements())
     return PointCount(k, total)
 
 
 def _roots_above(E: FiniteField, hh, ff, xs) -> int:
-    """Number of roots y in E of y^2 + h(x)y = f(x), summed over xs.
+    """Number of roots y in E of y^2 + h(x)y = f(x), summed over the x visited.
 
-    h and f are evaluated by Horner on the discrete-log tables of E; h is
-    read only in characteristic 2, as odd-characteristic models have h = 0.
-    The loop is fused rather than built on ``FiniteField.values``: f(x) is
-    skipped where h(x) = 0 and nothing is stored per x.  Reading h and f
-    from ``values`` made the F_16 counts (k = 1 plus k = 2) 12 to 16% slower.
+    In characteristic 2, xs holds the power-log row of each x (see
+    ``FiniteField.power_log_rows``): r_i = log x^i, 2n for x = 0, n = #E - 1.
+    A term c x^i is then ``exp2[log[c] + r_i]``, one lookup whose index is at
+    most 4n, inside the zero tail even when c or x is 0.  Two roots lie above
+    x iff z^2 + z = f(x)/h(x)^2 is solvable, read as
+    ``solvable[exp2[log[fx] + neg2[hx]]]``; fx = 0 lands in the zero tail,
+    where z = 0 solves it.  Imaginary models (f monic of degree 5, deg h <= 2)
+    run an unrolled loop; real ones the same loop padded to degrees 6 and 3.
+
+    In odd characteristic xs holds the x themselves, h = 0, and f is
+    evaluated by Horner on the log tables.
     """
-    log, exp2, n = E.log, E.exp2, E.q - 1
-    f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term
+    log, exp2 = E.log, E.exp2
     total = 0
     if E.p == 2:
-        h_lead, h_rest = hh[-1], hh[-2::-1]
-        solvable = E.artin_schreier_roots
-        for x in xs:
-            lx = log[x]
-            hx = h_lead
-            for c in h_rest:
-                hx = exp2[log[hx] + lx] ^ c
-            if hx == 0:  # y^2 = f(x): squaring is bijective
-                total += 1
-                continue
-            fx = f_lead
-            for c in f_rest:
-                fx = exp2[log[fx] + lx] ^ c
-            # two roots iff z^2 + z = f(x) / h(x)^2 is solvable (trace 0)
-            if fx == 0 or solvable[exp2[(log[fx] - 2 * log[hx]) % n]] >= 0:
-                total += 2
+        solvable, neg2 = E.artin_schreier_roots, E.neg2
+        h0, h1, h2, h3 = (hh + (0, 0, 0))[:4]
+        f0, f1, f2, f3, f4, f5 = ff[:6]
+        lh1, lh2, lh3 = log[h1], log[h2], log[h3]
+        lf1, lf2, lf3, lf4, lf5 = log[f1], log[f2], log[f3], log[f4], log[f5]
+        if len(ff) == 6:  # imaginary: x^5 is exp2[r5]
+            for r1, r2, r3, r4, r5, _ in xs:
+                hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2]
+                if hx == 0:  # y^2 = f(x): squaring is bijective
+                    total += 1
+                    continue
+                fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
+                      ^ exp2[lf4 + r4] ^ exp2[r5])
+                if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
+                    total += 2
+        else:  # real: f is monic of degree 6, so x^6 is exp2[r6]
+            for r1, r2, r3, r4, r5, r6 in xs:
+                hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2] ^ exp2[lh3 + r3]
+                if hx == 0:
+                    total += 1
+                    continue
+                fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
+                      ^ exp2[lf4 + r4] ^ exp2[lf5 + r5] ^ exp2[r6])
+                if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
+                    total += 2
     else:
+        f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term
         add = E.add
         for x in xs:
             lx = log[x]

@@ -8,12 +8,14 @@ through precomputed discrete-log tables, and the hot loops (point
 counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
 Python.  ``FiniteField.values`` evaluates a polynomial at many points by
-Horner on the tables; the group enumeration and the embeddings use it,
-and only the point-counting kernel keeps its own fused loop.  In odd
-characteristic the same tables decide squares and give
-square roots: a nonzero x is a square iff log x is even.  Odd extension
-fields with q <= 1024 also keep a q x q addition table, composed row by
-row from carry-free single-digit steps.
+Horner on the tables; the group enumeration and the embeddings use it.
+Point counting has its own loops: Horner inline in odd characteristic,
+and in characteristic 2 a sum of terms read off per-x rows of power logs
+(``power_logs``, and the embedding's ``image_power_logs`` and
+``pair_power_logs``), each built on first use.  In odd characteristic the
+same tables decide squares and give square roots: a nonzero x is a square
+iff log x is even.  Odd extension fields with q <= 1024 also keep a q x q
+addition table, composed row by row from carry-free single-digit steps.
 
 Default moduli are generated deterministically: for ``a >= 2`` the modulus
 of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
@@ -168,9 +170,10 @@ class FiniteField:
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
                  *, allow_large: bool = False):
-        if not isinstance(p, int) or p < 2:
+        # bool is an int subclass, but True would print as true in the wire format
+        if type(p) is not int or p < 2:
             raise NotPrimeError(f"p = {p} is not prime")
-        if not isinstance(a, int) or a < 1:
+        if type(a) is not int or a < 1:
             raise ValueError(f"extension degree must be a positive integer, got {a}")
         if not allow_large:
             _check_cap(p, a)
@@ -180,7 +183,10 @@ class FiniteField:
         if modulus is None:
             modulus = default_modulus(p, a)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = list(modulus)
+            if any(type(c) is not int for c in modulus):
+                raise ReducibleModulusError(f"modulus coefficients must be integers, got {modulus}")
+            modulus = tuple(c % p for c in modulus)
             if len(modulus) != a + 1 or modulus[-1] != 1:
                 raise ReducibleModulusError(
                     f"modulus must be monic of degree {a}, got {list(modulus)}")
@@ -421,6 +427,41 @@ class FiniteField:
         """
         return int(self.artin_schreier_roots[x] < 0)
 
+    def power_log_rows(self, xs: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Row (log x, log x^2, ..., log x^6) for each x, (2n, ..., 2n) for 0.
+
+        With n = q - 1 the entries are i * log x mod n, so for every c, 0
+        included, ``exp2[log[c] + row[i - 1]] == c * x^i``: the largest
+        index, 4n, lies in the zero tail.  The entries are the int objects of
+        ``log``: above q = 2^8 six new ints would take more memory than the tuple.
+        """
+        log, exp2 = self.log, self.exp2
+        rows = []
+        for x in xs:
+            l1 = log[x]
+            l2 = log[exp2[l1 + l1]]
+            l3 = log[exp2[l2 + l1]]
+            l4 = log[exp2[l2 + l2]]
+            l5 = log[exp2[l4 + l1]]
+            l6 = log[exp2[l3 + l3]]
+            rows.append((l1, l2, l3, l4, l5, l6))
+        return tuple(rows)
+
+    @cached_property
+    def power_logs(self) -> tuple[tuple[int, ...], ...]:
+        """``power_log_rows`` of every element, in encoding order (char 2 counting)."""
+        return self.power_log_rows(self.elements())
+
+    @cached_property
+    def neg2(self) -> tuple[int, ...]:
+        """-2 log h mod n for each h, so ``exp2[neg2[h]] == 1 / h^2`` for h != 0.
+
+        Read back through ``log``, so that, as in the rows, the entries are
+        its int objects.
+        """
+        log, exp2, n = self.log, self.exp2, self.q - 1
+        return tuple(log[exp2[-2 * lh % n]] for lh in log)
+
     @cached_property
     def artin_schreier_roots(self) -> list[int]:
         """Table t with t[z*z + z] = smallest such z, -1 where unsolvable (char 2)."""
@@ -524,6 +565,16 @@ class FieldEmbedding:
     def map_poly(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         t = self.image
         return tuple(t[c] for c in coeffs)
+
+    @cached_property
+    def image_power_logs(self) -> tuple[tuple[int, ...], ...]:
+        """``ext.power_log_rows`` of ``image`` (char 2 counting over F_{q^2})."""
+        return self.ext.power_log_rows(self.image)
+
+    @cached_property
+    def pair_power_logs(self) -> tuple[tuple[int, ...], ...]:
+        """``ext.power_log_rows`` of ``frobenius_pairs``."""
+        return self.ext.power_log_rows(self.frobenius_pairs)
 
     @cached_property
     def frobenius_pairs(self) -> tuple[int, ...]:

@@ -258,6 +258,15 @@ class TestErrorContract:
         ["analyze", "--curve", '{"field":{"p":2,"a":100000000000},"h":[1],"f":[0,0,0,1,0,1]}'],
         ["analyze", "--q", "2", "--h", "1", "--f", "x^5+x^3", "--r", "1000000"],
         ["attain", "--q", "2", "--h", "1", "--f", "x^5+x^3", "--r", "7"],
+        # JSON booleans are no integers, though Python's True == 1
+        ["analyze", "--curve", '{"field":{"p":2,"a":2},"h":[true],"f":[1,0,0,0,0,1]}'],
+        ["analyze", "--curve", '{"field":{"p":2,"a":1},"h":[1],"f":[1,0,0,0,0,1,false]}'],
+        ["analyze", "--curve", '{"field":{"p":2,"a":true},"h":[1],"f":[0,0,0,1,0,1]}'],
+        ["analyze", "--curve", '{"field":{"p":true,"a":1},"h":[1],"f":[0,0,0,1,0,1]}'],
+        ["analyze", "--curve",
+         '{"field":{"p":2,"a":1,"modulus":[false,true]},"h":[1],"f":[0,0,0,1,0,1]}'],
+        ["analyze", "--curve",
+         '{"field":{"p":2,"a":1,"modulus":[0.7,1]},"h":[1],"f":[0,0,0,1,0,1]}'],
     ])
     def test_bad_input_is_one_line_error(self, argv):
         code, out, err = invoke(argv)

@@ -6,8 +6,9 @@ degree bounds make that complete (any repeated factor of a sextic has
 degree <= 3, and singular x-coordinates in characteristic 2 are roots of
 h).  The count oracle solves nothing: it tries every (x, y) pair.  The
 per-x loop oracle reads the roots in y above every x of F_{q^k} through the
-field's operations, where the library's count runs Horner on the
-discrete-log tables and, over F_{q^2}, visits one x per Frobenius pair.
+field's operations, where the library's count reads cached power-log rows
+(characteristic 2) or runs Horner (odd characteristic) on the discrete-log
+tables and, over F_{q^2}, visits one x per Frobenius pair.
 ``curve_points`` lists the points themselves.
 """
 
@@ -23,6 +24,7 @@ from jacobicode import poly
 from jacobicode.curves import (
     IMAGINARY,
     REAL,
+    CurveModel,
     _check_budget,
     _lifted,
     count_points,
@@ -32,6 +34,7 @@ from jacobicode.errors import (
     BudgetExceededError,
     GenusNotTwoError,
     JacobicodeError,
+    MalformedCurveError,
     SingularModelError,
     WrongDegreeError,
 )
@@ -232,6 +235,18 @@ class TestValidation:
         with pytest.raises(SingularModelError):
             validate_curve(f2, (), (0, 0, 0, 0, 0, 1))
 
+    @pytest.mark.parametrize("h,f", [
+        ((True,), (1, 0, 0, 0, 0, 1)),
+        ((1,), (1, 0, 0, 0, 0, True)),
+        ((1, False), (1, 0, 0, 0, 0, 1)),  # a trailing False is no zero to trim
+        ((1,), (1, 0, 0, 0, 0, 1, 0.0)),
+    ])
+    def test_bool_and_float_coefficients_are_rejected(self, f4, h, f):
+        with pytest.raises(MalformedCurveError):
+            validate_curve(f4, h, f)
+        with pytest.raises(MalformedCurveError):
+            CurveModel.from_dict({"field": f4.to_dict(), "h": list(h), "f": list(f)})
+
     def test_wrong_degree(self):
         F3 = make_field(3, 1)
         with pytest.raises(WrongDegreeError):
@@ -430,7 +445,7 @@ class TestQuadraticCount:
             for k in loop_degrees(q):
                 assert count_points(curve, k).count == count_points_loop(curve, k), (curve, k)
 
-    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27, 32])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27, 32, 64])
     @pytest.mark.parametrize("kind", [IMAGINARY, REAL])
     def test_seeded_models(self, q, kind):
         space = SearchSpace(field=field_from_order(q), kind=kind, mode=RANDOM,
@@ -440,6 +455,36 @@ class TestQuadraticCount:
         for curve in curves:
             for k in loop_degrees(q):
                 assert count_points(curve, k).count == count_points_loop(curve, k), (curve, k)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16])
+    @pytest.mark.parametrize("h", [(1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)],
+                             ids=["1", "x", "x2", "x3"])
+    def test_sparse_char2_models(self, q, h):
+        """h a monomial and f mostly zero: the power-log rows meet zero
+        coefficients, zero leading terms of h and x = 0 on every loop."""
+        field = field_from_order(q)
+        rng = random.Random(q)
+        checked = 0
+        for degree in (5, 6):
+            if len(h) > degree - 2:  # deg h <= 2 for deg f = 5
+                continue
+            found = 0
+            for _ in range(200):
+                f = [0] * degree + [1]
+                for i in rng.sample(range(degree), 2):
+                    f[i] = rng.randrange(q)
+                try:
+                    curve = validate_curve(field, h, f)
+                except JacobicodeError:
+                    continue
+                for k in loop_degrees(q):
+                    assert count_points(curve, k).count == count_points_loop(curve, k), (curve, k)
+                found += 1
+                if found == 3:
+                    break
+            assert found, (h, degree)
+            checked += found
+        assert checked
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
     def test_pair_representatives(self, q):

@@ -56,6 +56,20 @@ class TestConstruction:
         with pytest.raises(NotPrimeError):
             make_field(4, 1)
 
+    def test_bools_and_floats_are_not_field_data(self):
+        # True == 1 would alias F_2 and print as true in its wire form, and
+        # int() would truncate a modulus coefficient 0.7 to 0
+        with pytest.raises(NotPrimeError):
+            make_field(True, 1)
+        with pytest.raises(ValueError):
+            make_field(2, True)
+        with pytest.raises(ValueError):
+            FiniteField.from_dict({"p": 2, "a": True})
+        for modulus in [(False, True), (0.7, 1), (0, "1")]:
+            with pytest.raises(ReducibleModulusError):
+                make_field(2, 1, modulus)
+        assert make_field(2, 1).to_dict() == {"p": 2, "a": 1, "modulus": [0, 1]}
+
     @pytest.mark.parametrize("q,pa", [(2, (2, 1)), (9, (3, 2)), (16, (2, 4)),
                                       (49, (7, 2)), (65537, (65537, 1))])
     def test_prime_power(self, q, pa):
@@ -333,6 +347,45 @@ class TestStructureTables:
                 scan = [y for y in F.elements()
                         if F.add(F.mul(y, y), F.mul(b, y)) == c]
                 assert sorted(roots) == scan
+
+
+class TestPowerLogs:
+    """The rows and the neg2 table the characteristic-2 counting kernel reads."""
+
+    @pytest.mark.parametrize("q,k,sample", [(2, 1, None), (4, 1, None), (16, 1, None),
+                                            (16, 2, None), (32, 2, 48), (64, 2, 48)])
+    def test_rows_give_every_term(self, q, k, sample):
+        """exp2[log[c] + row(x)[i - 1]] == c * x^i for every x, c (0 included)
+        and 1 <= i <= 6, by the field's own operations; sampled x and c above
+        F_256.  Over F_{q^2} the embedding's rows are those of the image and
+        of the Frobenius pairs."""
+        emb = extend_field(field_from_order(q), k, allow_large=True)
+        E = emb.ext
+        rows = E.power_logs
+        assert len(rows) == E.q
+        if k == 2:
+            assert emb.image_power_logs == tuple(rows[x] for x in emb.image)
+            assert emb.pair_power_logs == tuple(rows[x] for x in emb.frobenius_pairs)
+        log, exp2, n = E.log, E.exp2, E.q - 1
+        assert rows[0] == (2 * n,) * 6
+        if sample is None:
+            xs = cs = E.elements()
+        else:
+            rng = Random(E.q)
+            xs = [0, 1, n] + rng.sample(range(2, n), sample)
+            cs = [0, 1, n] + rng.sample(range(2, n), sample)
+        for x in xs:
+            row = rows[x]
+            powers = [E.pow_(x, i) for i in range(1, 7)]
+            for c in cs:
+                lc = log[c]
+                assert [exp2[lc + r] for r in row] == [E.mul(c, xi) for xi in powers], (x, c)
+
+    @pytest.mark.parametrize("q", [2, 4, 16, 256, 1024, 4096])
+    def test_neg2_is_the_inverse_square(self, q):
+        E = field_from_order(q)
+        assert len(E.neg2) == q
+        assert all(E.exp2[E.neg2[h]] == E.inv(E.mul(h, h)) for h in range(1, q))
 
 
 class TestPreimage:
