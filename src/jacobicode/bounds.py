@@ -10,7 +10,7 @@ is tested against lives in the tests.  Every entry point accepts only the
 radii of that test, 1 <= r <= R_MAX (``check_radii``).
 
 ``code_params`` depends on the isogeny class and r alone, so it is
-memoized on (Weil data, N1, r) in an LRU cache of ``CLASS_CACHE_SIZE``
+memoized on (Weil data, r) in an LRU cache of ``CLASS_CACHE_SIZE``
 entries, the bound of the Weil caches.  The cached ``CodeReport`` is an
 immutable NamedTuple.  An exception is never cached, so a radius outside
 1..R_MAX raises on every call.
@@ -31,13 +31,15 @@ from .weil import CLASS_CACHE_SIZE, SimplicityVerdict, Verdict, WeilData, \
 R_MAX = 6  # the closed form is tested against the brute-force maximizer up to here
 
 
-def check_radii(r_values: Sequence[int]) -> None:
-    """Raise InvalidRError unless the radii are a nonempty list in 1..R_MAX."""
+def check_radii(r_values: Sequence[int]) -> tuple[int, ...]:
+    """The radii, repeats dropped in first-seen order (one row per (curve, r));
+    InvalidRError unless they are a nonempty list in 1..R_MAX."""
     if not r_values:
         raise InvalidRError("need at least one radius")
     for r in r_values:
         if not 1 <= r <= R_MAX:
             raise InvalidRError(f"r must be in 1..{R_MAX}, got {r}")
+    return tuple(dict.fromkeys(r_values))
 
 
 def weil_type_point_bound(q: int, tau: int, pi: int) -> int:
@@ -98,15 +100,17 @@ class CodeReport(NamedTuple):
 
 
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
-def code_params(w: WeilData, n1: int, r: int) -> CodeReport:
+def code_params(w: WeilData, r: int) -> CodeReport:
     """Length, dimension and distance lower bound of the code for radius r.
 
-    r must lie in 1..R_MAX.  The translate system is only known to embed
-    the surface for r >= 3; r in {1, 2} is allowed and flagged.  The
-    report is certified exactly when the Jacobian is simple and the bound
-    is positive; everything else still gets the arithmetic, with warnings.
+    N1 = q + 1 + c1 is read off the Weil data.  r must lie in 1..R_MAX.
+    The translate system is only known to embed the surface for r >= 3;
+    r in {1, 2} is allowed and flagged.  The report is certified exactly
+    when the Jacobian is simple and the bound is positive; everything else
+    still gets the arithmetic, with warnings.
     """
     check_radii((r,))
+    n1 = w.q + 1 + w.c1
     m = serre_constant(w.q)
     n = jacobian_order(w)
     k = r * r

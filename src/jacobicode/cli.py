@@ -83,6 +83,8 @@ def _curve_from_args(args) -> CurveModel:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"--curve is neither a file nor valid JSON: {exc}")
+        except ValueError:  # an integer literal longer than int() accepts
+            raise UsageError("--curve holds a number with too many digits") from None
         return CurveModel.from_dict(data)
     if args.q is None or args.f_poly is None:
         raise UsageError("need either --curve or both --q and --f")

@@ -10,24 +10,24 @@ smoothness criterion applies per characteristic:
   (no affine singular point over the algebraic closure), plus an explicit
   smoothness check on the chart at infinity for degree-6 models.
 
-Counting is exhaustive: for each x in F_{q^k} the number of y-solutions is
-read off the quadratic in y (square test in odd characteristic, trace test
-in characteristic 2), on the discrete-log tables of F_{q^k}, for every x, 0
-included, since the tables give 0 a logarithm.  In characteristic 2 each x
-comes as its cached row of power logs (log x, ..., log x^6), 2n for x = 0
-with n = q^k - 1, so a term c x^i is one lookup ``exp2[log[c] + r_i]``
-whose index, at most 4n, stays inside the zero tail, and the terms add by
-XOR; odd characteristic evaluates f by Horner.  The points at infinity of
-a real model (z^2 + h3 z = f6 on the chart at infinity) are read off
-``quadratic_roots``, and an imaginary model has one point at infinity.
-Over F_{q^2} the loop visits the image of F_q once and one x per Frobenius
-pair {x, x^q} outside F_q twice, since x^q has as many points above it as x.
+Counting is exhaustive: for each x in F_{q^k}, 0 included, the number of
+y-solutions is read off the quadratic in y on the discrete-log tables of
+F_{q^k} (square test in odd characteristic, trace test in characteristic
+2).  ``_x_classes`` groups the x by weight: over F_{q^2} the image of F_q
+once and one x per Frobenius pair {x, x^q} outside F_q twice, since x^q
+has as many points above it as x; otherwise every x once.  In
+characteristic 2 it keeps each x as its row of power logs (log x, ...,
+log x^6), so a term c x^i is one lookup; odd characteristic evaluates f by
+Horner.  A real model's points at infinity (z^2 + h3 z = f6) are read off
+``quadratic_roots``; an imaginary model has one.
 
 ``count_points`` is memoized on (curve, k) in an LRU cache of 256
 entries, the bound of the group enumeration's cache, so a pipeline that
 counts a curve and then enumerates its Jacobian runs the counting loop
 once per k.  The cached ``PointCount`` is immutable.  An exception (the
 point budget) is never cached, so a rejected call raises on every call.
+``_x_classes`` caches the x-classes, rows included, per (field, k) in 64
+entries, the bound of the embedding cache; the first count builds them.
 """
 
 from __future__ import annotations
@@ -157,39 +157,66 @@ def _check_budget(curve: CurveModel, k: int) -> None:
             f"q^k = {curve.field.q ** k} exceeds the enumeration budget {POINT_BUDGET}")
 
 
-def _lifted(curve: CurveModel, k: int) -> tuple[FiniteField, tuple[int, ...], tuple[int, ...]]:
-    if k == 1:
-        return curve.field, curve.h, curve.f
-    emb = extend_field(curve.field, k, allow_large=True)
-    return emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
+@lru_cache(maxsize=64)
+def _x_classes(field: FiniteField, k: int):
+    """(embedding of F_q into E = F_{q^k}, ((weight, xs), ...), neg2).
+
+    An x of weight w stands for itself and its conjugates x^q, ..., up to
+    w in all, and these cover E once: over F_{q^2} the image of F_q has
+    weight 1 and one x per Frobenius pair {x, x^q} outside F_q weight 2;
+    over any other E every x has weight 1.  In characteristic 2 each x is
+    replaced by its row (log x, ..., log x^6), 2n for x = 0, n = #E - 1,
+    and ``exp2[neg2[h]] == 1 / h^2`` for h != 0 (neg2 is empty otherwise).
+    Both hold the int objects of ``log``: above #E = 2^8 six new ints would
+    take more memory than the tuple.
+    """
+    emb = extend_field(field, k, allow_large=True)
+    E = emb.ext
+    classes = ((1, emb.image), (2, emb.frobenius_pairs)) if k == 2 else ((1, E.elements()),)
+    if E.p != 2:
+        return emb, classes, ()
+    log, exp2, n = E.log, E.exp2, E.q - 1
+
+    def rows(xs):
+        out = []
+        for x in xs:
+            l1 = log[x]
+            l2 = log[exp2[l1 + l1]]
+            l3 = log[exp2[l2 + l1]]
+            l4 = log[exp2[l2 + l2]]
+            l5 = log[exp2[l4 + l1]]
+            l6 = log[exp2[l3 + l3]]
+            out.append((l1, l2, l3, l4, l5, l6))
+        return tuple(out)
+
+    neg2 = tuple(log[exp2[-2 * lh % n]] for lh in log)
+    return emb, tuple((weight, rows(xs)) for weight, xs in classes), neg2
 
 
 @lru_cache(maxsize=256)
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     """Exhaustive number of points of the smooth model over F_{q^k}."""
     _check_budget(curve, k)
-    E, hh, ff = _lifted(curve, k)
+    emb, classes, neg2 = _x_classes(curve.field, k)
+    E, hh, ff = emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
     # a real model has the roots z of z^2 + h3 z = f6 on the chart at infinity
     total = 1 if curve.is_imaginary else len(E.quadratic_roots(poly.coefficient(hh, 3), ff[6]))
-    char2 = E.p == 2  # the characteristic-2 kernel reads the power-log rows of the x
-    if k == 2:
-        emb = extend_field(curve.field, 2, allow_large=True)
-        image, pairs = ((emb.image_power_logs, emb.pair_power_logs) if char2
-                        else (emb.image, emb.frobenius_pairs))
-        total += _roots_above(E, hh, ff, image) + 2 * _roots_above(E, hh, ff, pairs)
-    else:
-        total += _roots_above(E, hh, ff, E.power_logs if char2 else E.elements())
+    for weight, xs in classes:
+        total += weight * _roots_above(E, hh, ff, xs, neg2)
     return PointCount(k, total)
 
 
-def _roots_above(E: FiniteField, hh, ff, xs) -> int:
-    """Number of roots y in E of y^2 + h(x)y = f(x), summed over the x visited.
+def _roots_above(E: FiniteField, hh, ff, xs, neg2) -> int:
+    """Number of roots y in E of y^2 + h(x)y = f(x), summed over the x of xs.
 
-    In characteristic 2, xs holds the power-log row of each x (see
-    ``FiniteField.power_log_rows``): r_i = log x^i, 2n for x = 0, n = #E - 1.
-    A term c x^i is then ``exp2[log[c] + r_i]``, one lookup whose index is at
-    most 4n, inside the zero tail even when c or x is 0.  Two roots lie above
-    x iff z^2 + z = f(x)/h(x)^2 is solvable, read as
+    xs is one class of ``_x_classes(field, k)``, which caches the rows and
+    neg2 per (field, k).  The caller multiplies the sum by the class's
+    weight: the curve is defined over F_q, so the conjugates an x stands for
+    have as many roots above them as x.  In characteristic 2, xs holds the
+    power-log row of each x: r_i = log x^i, 2n for x = 0, n = #E - 1.  A
+    term c x^i is then ``exp2[log[c] + r_i]``, one lookup whose index is at
+    most 4n, inside the zero tail even when c or x is 0.  Two roots lie
+    above x iff z^2 + z = f(x)/h(x)^2 is solvable, read as
     ``solvable[exp2[log[fx] + neg2[hx]]]``; fx = 0 lands in the zero tail,
     where z = 0 solves it.  Imaginary models (f monic of degree 5, deg h <= 2)
     run an unrolled loop; real ones the same loop padded to degrees 6 and 3.
@@ -200,7 +227,7 @@ def _roots_above(E: FiniteField, hh, ff, xs) -> int:
     log, exp2 = E.log, E.exp2
     total = 0
     if E.p == 2:
-        solvable, neg2 = E.artin_schreier_roots, E.neg2
+        solvable = E.artin_schreier_roots
         h0, h1, h2, h3 = (hh + (0, 0, 0))[:4]
         f0, f1, f2, f3, f4, f5 = ff[:6]
         lh1, lh2, lh3 = log[h1], log[h2], log[h3]

@@ -210,14 +210,14 @@ def analyze_curve(curve: CurveModel, r_values: Sequence[int]) -> list[TableRow]:
 
     The radii are checked before anything is counted.
     """
-    check_radii(r_values)
+    r_values = check_radii(r_values)
     n1 = count_points(curve, 1).count
     n2 = count_points(curve, 2).count
     w = weil_from_counts(curve.field.q, n1, n2)
     verdict = classify_simplicity(w)
     rows = []
     for r in r_values:
-        report = code_params(w, n1, r)
+        report = code_params(w, r)
         rows.append(TableRow(curve=curve, n1=n1, n2=n2, weil=w,
                              simplicity=verdict, report=report))
     return rows
@@ -242,8 +242,7 @@ def best_codes(space: SearchSpace, r_values: Sequence[int],
     ``CHUNK_SIZE`` candidates, and fewer when the stream is short, so that a
     small space still makes about eight chunks per worker.
     """
-    r_values = tuple(dict.fromkeys(r_values))
-    check_radii(r_values)
+    r_values = check_radii(r_values)
     encodings = _unique(space)
     workers = min(parallelism, os.cpu_count() or 1)
     if workers <= 1:

@@ -9,13 +9,10 @@ counting, group enumeration) work directly on these plain integers and
 tables, which is what keeps exhaustive verification affordable in pure
 Python.  ``FiniteField.values`` evaluates a polynomial at many points by
 Horner on the tables; the group enumeration and the embeddings use it.
-Point counting has its own loops: Horner inline in odd characteristic,
-and in characteristic 2 a sum of terms read off per-x rows of power logs
-(``power_logs``, and the embedding's ``image_power_logs`` and
-``pair_power_logs``), each built on first use.  In odd characteristic the
-same tables decide squares and give square roots: a nonzero x is a square
-iff log x is even.  Odd extension fields with q <= 1024 also keep a q x q
-addition table, composed row by row from carry-free single-digit steps.
+In odd characteristic the same tables decide squares and give square
+roots: a nonzero x is a square iff log x is even.  Odd extension fields
+with q <= 1024 also keep a q x q addition table, composed row by row from
+carry-free single-digit steps.
 
 Default moduli are generated deterministically: for ``a >= 2`` the modulus
 of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
@@ -427,41 +424,6 @@ class FiniteField:
         """
         return int(self.artin_schreier_roots[x] < 0)
 
-    def power_log_rows(self, xs: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        """Row (log x, log x^2, ..., log x^6) for each x, (2n, ..., 2n) for 0.
-
-        With n = q - 1 the entries are i * log x mod n, so for every c, 0
-        included, ``exp2[log[c] + row[i - 1]] == c * x^i``: the largest
-        index, 4n, lies in the zero tail.  The entries are the int objects of
-        ``log``: above q = 2^8 six new ints would take more memory than the tuple.
-        """
-        log, exp2 = self.log, self.exp2
-        rows = []
-        for x in xs:
-            l1 = log[x]
-            l2 = log[exp2[l1 + l1]]
-            l3 = log[exp2[l2 + l1]]
-            l4 = log[exp2[l2 + l2]]
-            l5 = log[exp2[l4 + l1]]
-            l6 = log[exp2[l3 + l3]]
-            rows.append((l1, l2, l3, l4, l5, l6))
-        return tuple(rows)
-
-    @cached_property
-    def power_logs(self) -> tuple[tuple[int, ...], ...]:
-        """``power_log_rows`` of every element, in encoding order (char 2 counting)."""
-        return self.power_log_rows(self.elements())
-
-    @cached_property
-    def neg2(self) -> tuple[int, ...]:
-        """-2 log h mod n for each h, so ``exp2[neg2[h]] == 1 / h^2`` for h != 0.
-
-        Read back through ``log``, so that, as in the rows, the entries are
-        its int objects.
-        """
-        log, exp2, n = self.log, self.exp2, self.q - 1
-        return tuple(log[exp2[-2 * lh % n]] for lh in log)
-
     @cached_property
     def artin_schreier_roots(self) -> list[int]:
         """Table t with t[z*z + z] = smallest such z, -1 where unsolvable (char 2)."""
@@ -549,8 +511,10 @@ class FieldEmbedding:
         return min(x for x, y in zip(xs, ext.values(self.base.modulus, xs)) if y == 0)
 
     @cached_property
-    def image(self) -> tuple[int, ...]:
+    def image(self) -> Sequence[int]:
         """The images of the base field's elements, in encoding order."""
+        if self.ext == self.base:  # the identity: no Horner pass over F_q
+            return self.base.elements()
         base, values, at = self.base, self.ext.values, (self.root,)
         return tuple(values(base.coeffs(x), at)[0] for x in range(base.q))
 
@@ -567,16 +531,6 @@ class FieldEmbedding:
         return tuple(t[c] for c in coeffs)
 
     @cached_property
-    def image_power_logs(self) -> tuple[tuple[int, ...], ...]:
-        """``ext.power_log_rows`` of ``image`` (char 2 counting over F_{q^2})."""
-        return self.ext.power_log_rows(self.image)
-
-    @cached_property
-    def pair_power_logs(self) -> tuple[tuple[int, ...], ...]:
-        """``ext.power_log_rows`` of ``frobenius_pairs``."""
-        return self.ext.power_log_rows(self.frobenius_pairs)
-
-    @cached_property
     def frobenius_pairs(self) -> tuple[int, ...]:
         """One x per pair {x, x^q} of F_{q^2} outside F_q: the smaller encoding.
 
@@ -588,7 +542,7 @@ class FieldEmbedding:
 
 
 def extend_field(field: FiniteField, k: int, *, allow_large: bool = False) -> FieldEmbedding:
-    """F_{q^k} together with the embedding of F_q into it.
+    """F_{q^k} with the embedding of F_q into it; F_q and the identity for k = 1.
 
     The size cap is checked first, unless ``allow_large``; the embedding is
     then cached by (field, k) alone, so both spellings share one embedding
@@ -603,5 +557,6 @@ def extend_field(field: FiniteField, k: int, *, allow_large: bool = False) -> Fi
 
 @lru_cache(maxsize=64)
 def _embedding(field: FiniteField, k: int) -> FieldEmbedding:
-    return FieldEmbedding(field, make_field(field.p, field.a * k, allow_large=True))
+    ext = field if k == 1 else make_field(field.p, field.a * k, allow_large=True)
+    return FieldEmbedding(field, ext)
 

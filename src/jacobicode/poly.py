@@ -170,6 +170,8 @@ def to_string(a: Sequence[int], var: str = "x") -> str:
     return "+".join(terms)
 
 
+MAX_EXPONENT = 6
+
 _TERM = re.compile(
     r"^(?:(?P<coeff>\d+)\*)?(?P<var>x)(?:\^(?P<exp>\d+))?$|^(?P<const>\d+)$")
 
@@ -184,12 +186,14 @@ def parse_poly(text: str, field: FiniteField) -> Poly:
         m = _TERM.match(term)
         if not m:
             raise PolySyntaxError(f"cannot parse monomial {term!r}")
-        if m.group("const") is not None:
-            power = 0
-            c = int(m.group("const"))
-        else:
-            power = int(m.group("exp")) if m.group("exp") else 1
-            c = int(m.group("coeff")) if m.group("coeff") else 1
+        const, exp, coeff = m.group("const", "exp", "coeff")
+        try:  # int() refuses more than sys.get_int_max_str_digits() digits
+            power = 0 if const else int(exp or 1)
+            c = int(const or coeff or 1)
+        except ValueError:
+            raise PolySyntaxError(f"too many digits in monomial {term[:20]}...") from None
+        if power > MAX_EXPONENT:  # checked before a list of power + 1 entries exists
+            raise PolySyntaxError(f"exponent {power} exceeds {MAX_EXPONENT}, the largest degree")
         if not 0 <= c < field.q:
             raise PolySyntaxError(f"coefficient {c} is not an element encoding below {field.q}")
         coeffs[power] = field.add(coeffs.get(power, 0), c)

@@ -186,7 +186,7 @@ def test_c07_translate_experiment_consistency(corpus):
             n_curves += 1
             group = enumerate_jacobian(curve)
             n = len(group)
-            report = code_params(w, n1, 3)
+            report = code_params(w, 3)
             theta = theta_set(curve)
             translate_of = {p: frozenset(cantor_add(curve, t, p) for t in theta)
                             for p in group}

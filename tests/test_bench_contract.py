@@ -48,8 +48,8 @@ def test_setup_probe_builds_the_workload_fields(perfbench):
 
 
 def test_setup_builds_no_counting_rows(perfbench):
-    # the power-log rows and neg2 are built by the first count, not in setup_s;
-    # fields are process-wide instances, so the probe runs in a fresh interpreter
+    # the x-classes and their rows are built by the first count, not in setup_s;
+    # their cache is process-wide, so the probe runs in a fresh interpreter
     _, run = perfbench
     qs = sorted({q for work in run.WORKLOADS.values() for q in work.qs})
     code = f"""
@@ -59,18 +59,13 @@ spec = importlib.util.spec_from_file_location("setup_probe", {str(PERFBENCH / "s
 probe = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(probe)
 probe.build_fields({qs!r})
-from jacobicode import fields
-built = [repr(F) for F in fields._FIELDS if {{"power_logs", "neg2"}} & vars(F).keys()]
-for q in {qs!r}:
-    emb = fields.extend_field(fields.field_from_order(q), 2, allow_large=True)
-    if {{"image_power_logs", "pair_power_logs"}} & vars(emb).keys():
-        built.append(f"embedding of F_{{q}}")
-print(json.dumps([len(fields._FIELDS), built]))
+from jacobicode import curves, fields
+print(json.dumps([len(fields._FIELDS), curves._x_classes.cache_info().currsize]))
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     n_fields, built = json.loads(done.stdout)
-    assert n_fields >= len(qs) and built == []
+    assert n_fields >= len(qs) and built == 0
 
 
 def test_tracing_wraps_and_restores_the_library(perfbench):

@@ -20,7 +20,7 @@ from jacobicode.bounds import (
     support_bound,
     weil_type_point_bound,
 )
-from jacobicode.curves import count_points
+from jacobicode.curves import _x_classes, count_points
 from jacobicode.errors import InvalidRError, TraceHypothesisViolatedError
 from jacobicode.weil import Verdict, WeilData, classify_simplicity, serre_constant, \
     weil_from_counts
@@ -196,7 +196,7 @@ class TestSupportBoundOracle:
 class TestCodeParams:
     def test_e2_report(self):
         w = weil_from_counts(2, 5, 5)
-        rep = code_params(w, 5, 3)
+        rep = code_params(w, 3)
         assert (rep.n, rep.k, rep.d_lb) == (13, 9, -8)
         assert rep.branch is Branch.PHI_1
         assert not rep.certified
@@ -204,14 +204,14 @@ class TestCodeParams:
 
     def test_e1_report_carries_not_simple_warning(self):
         w = weil_from_counts(2, 3, 5)
-        rep = code_params(w, 3, 3)
+        rep = code_params(w, 3)
         assert rep.simplicity.verdict is Verdict.NOT_SIMPLE
         assert "jacobian-not-simple" in rep.warnings
         assert not rep.certified
 
     def test_synthetic_f16_maximal(self):
         w = WeilData(q=16, p=2, c1=16, c2=96)
-        rep = code_params(w, 33, 3)
+        rep = code_params(w, 3)
         assert rep.n == 625
         assert rep.d_lb == 625 - 99
         assert rep.branch is Branch.PHI_R
@@ -237,7 +237,7 @@ class TestCodeParams:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                bounds = [code_params(w, n1, r).d_lb for r in range(1, 6)]
+                bounds = [code_params(w, r).d_lb for r in range(1, 6)]
                 assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_small_r_policy(self):
@@ -247,30 +247,31 @@ class TestCodeParams:
         for r in (0, R_MAX + 1):
             for _ in range(2):  # an exception is never cached
                 with pytest.raises(InvalidRError):
-                    code_params(w, 5, r)
-        assert code_params(w, 5, R_MAX).k == R_MAX ** 2
-        rep = code_params(w, 5, 2)
+                    code_params(w, r)
+        assert code_params(w, R_MAX).k == R_MAX ** 2
+        rep = code_params(w, 2)
         assert "very-ample-not-guaranteed" in rep.warnings
 
     def test_certified_requires_simple_and_positive(self):
         # a certified example found over F_16 by random search
         w = weil_from_counts(16, 29, 243)
-        rep = code_params(w, 29, 3)
+        rep = code_params(w, 3)
         if rep.simplicity.is_simple and rep.d_lb > 0:
             assert rep.certified
         assert rep.k == 9
 
     def test_cached_equals_fresh(self):
-        classes = [(w, w.q + 1 + w.c1) for w in weil_grid(16) if w.q in GRID_QS]
+        classes = [w for w in weil_grid(16) if w.q in GRID_QS]
         radii = range(1, R_MAX + 1)
-        for w, n1 in classes:  # warm the cache
+        for w in classes:  # warm the cache
             for r in radii:
-                code_params(w, n1, r)
-        for w, n1 in classes:
+                code_params(w, r)
+        for w in classes:
             for r in radii:
-                assert code_params(w, n1, r) == code_params.__wrapped__(w, n1, r)
+                assert code_params(w, r) == code_params.__wrapped__(w, r)
 
     def test_caches_are_bounded(self):
         # an unbounded cache would grow with every class a long search meets
-        for fn in (count_points, weil_from_counts, classify_simplicity, code_params):
+        for fn in (count_points, _x_classes, weil_from_counts, classify_simplicity,
+                   code_params):
             assert fn.cache_parameters()["maxsize"] is not None, fn.__name__

@@ -79,6 +79,13 @@ class TestAnalyze:
         data = json.loads(out)
         assert [row["report"]["r"] for row in data["rows"]] == [3, 4]
 
+    def test_repeated_radii_give_one_row_each(self):
+        code, out, _ = invoke(["analyze", "--q", "2", "--h", "1", "--f", "x^5+x^3",
+                               "--r", "3,3,1", "--format", "csv"])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [row[header.index("r")] for row in rows] == ["3", "1"]
+
     def test_curve_file(self, tmp_path):
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"field": {"p": 2, "a": 1, "modulus": [0, 1]},
@@ -267,6 +274,13 @@ class TestErrorContract:
          '{"field":{"p":2,"a":1,"modulus":[false,true]},"h":[1],"f":[0,0,0,1,0,1]}'],
         ["analyze", "--curve",
          '{"field":{"p":2,"a":1,"modulus":[0.7,1]},"h":[1],"f":[0,0,0,1,0,1]}'],
+        # an exponent no curve model has, and numbers longer than int() reads
+        ["analyze", "--q", "2", "--h", "1", "--f", "x^1000000000000000000000"],
+        ["analyze", "--q", "2", "--h", "1", "--f", "x^1000000000"],
+        ["analyze", "--q", "2", "--h", "1", "--f", "x^" + "1" * 4301],
+        ["analyze", "--q", "2", "--h", "1", "--f", "1" * 4301 + "*x^5"],
+        ["analyze", "--curve",
+         '{"field":{"p":2,"a":1},"h":[1],"f":[' + "1" * 4301 + ',0,0,0,0,1]}'],
     ])
     def test_bad_input_is_one_line_error(self, argv):
         code, out, err = invoke(argv)

@@ -6,9 +6,10 @@ degree bounds make that complete (any repeated factor of a sextic has
 degree <= 3, and singular x-coordinates in characteristic 2 are roots of
 h).  The count oracle solves nothing: it tries every (x, y) pair.  The
 per-x loop oracle reads the roots in y above every x of F_{q^k} through the
-field's operations, where the library's count reads cached power-log rows
-(characteristic 2) or runs Horner (odd characteristic) on the discrete-log
-tables and, over F_{q^2}, visits one x per Frobenius pair.
+field's operations, where the library's count visits the weighted x-classes
+of ``_x_classes`` (over F_{q^2}, one x per Frobenius pair) and reads their
+cached power-log rows (characteristic 2) or runs Horner (odd
+characteristic) on the discrete-log tables.
 ``curve_points`` lists the points themselves.
 """
 
@@ -26,7 +27,7 @@ from jacobicode.curves import (
     REAL,
     CurveModel,
     _check_budget,
-    _lifted,
+    _x_classes,
     count_points,
     validate_curve,
 )
@@ -69,7 +70,8 @@ INFINITY = CurvePoint(None, 0)
 def curve_points(curve, k=1):
     """The explicit point set over F_{q^k}; its length equals count_points."""
     _check_budget(curve, k)
-    E, hh, ff = _lifted(curve, k)
+    emb = extend_field(curve.field, k, allow_large=True)
+    E, hh, ff = emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
     pts = []
     if curve.is_imaginary:
         pts.append(INFINITY)
@@ -106,7 +108,8 @@ def brute_count(field, h, f, kind, k=1):
 
 def count_points_loop(curve, k):
     """The number of points over F_{q^k} from the roots in y above every x."""
-    E, hh, ff = _lifted(curve, k)
+    emb = extend_field(curve.field, k, allow_large=True)
+    E, hh, ff = emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
     if curve.is_imaginary:
         total = 1
     else:  # scan z^2 + h3 z = f6 on the chart at infinity
@@ -498,3 +501,33 @@ class TestQuadraticCount:
         assert subfield.isdisjoint(pairs)
         covered = [y for x in pairs for y in (x, E.pow_(x, q))]
         assert sorted(covered) == [x for x in E.elements() if x not in subfield]
+
+
+class TestXClasses:
+    """The weighted x the count visits; ``tests/test_fields.py::TestPowerLogs``
+    checks their characteristic-2 rows."""
+
+    @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27,
+                                                        32, 49, 64)
+                                     for k in ((1, 2, 3) if q <= 8 else (1, 2))])
+    def test_weights_cover_the_field_once(self, q, k):
+        """An x of weight w stands for itself and its w - 1 conjugates x^q,
+        ...; the weights times the class sizes are q^k, the classes are
+        disjoint, and the conjugates of every x cover F_{q^k} once."""
+        emb, classes, neg2 = _x_classes(field_from_order(q), k)
+        E = emb.ext
+        assert E.q == q ** k and (neg2 == ()) == (E.p != 2)
+        assert sum(weight * len(xs) for weight, xs in classes) == q ** k
+        # in characteristic 2 a row stands for x, and starts with log x
+        members = [[E.exp2[row[0]] for row in xs] if E.p == 2 else list(xs)
+                   for _, xs in classes]
+        flat = [x for xs in members for x in xs]
+        assert len(set(flat)) == len(flat)
+        covered = []
+        for (weight, _), xs in zip(classes, members):
+            for x in xs:
+                conjugates = [x]
+                for _ in range(weight - 1):
+                    conjugates.append(E.pow_(conjugates[-1], q))
+                covered += conjugates
+        assert sorted(covered) == list(E.elements())

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from jacobicode.curves import _x_classes
 from jacobicode.errors import (
     DivisionByZeroError,
     FieldTooLargeError,
@@ -295,9 +296,11 @@ class TestEmbeddings:
         assert extend_field(F, 2, allow_large=True).ext.q == 1 << 18
 
     def test_identity_extension(self, f4):
-        emb = extend_field(f4, 1)
-        assert emb.ext == f4
-        assert all(emb(x) == x for x in f4.elements())
+        # a supplied modulus is kept: F_8 by x^3 + x^2 + 1, not the default
+        for F in (f4, make_field(2, 3, (1, 0, 1, 1))):
+            emb = extend_field(F, 1)
+            assert emb.ext is F
+            assert all(emb(x) == x for x in F.elements())
 
     def test_higher_extension_tower(self, f2):
         emb = extend_field(f2, 3)
@@ -350,29 +353,29 @@ class TestStructureTables:
 
 
 class TestPowerLogs:
-    """The rows and the neg2 table the characteristic-2 counting kernel reads."""
+    """The rows and the neg2 table the characteristic-2 counting kernel
+    reads, cached with the x-classes in ``curves._x_classes``."""
+
+    @staticmethod
+    def rows(q, k):
+        emb, classes, _ = _x_classes(field_from_order(q), k)
+        E = emb.ext  # a row starts with log x
+        return E, {E.exp2[row[0]]: row for _, xs in classes for row in xs}
 
     @pytest.mark.parametrize("q,k,sample", [(2, 1, None), (4, 1, None), (16, 1, None),
                                             (16, 2, None), (32, 2, 48), (64, 2, 48)])
     def test_rows_give_every_term(self, q, k, sample):
-        """exp2[log[c] + row(x)[i - 1]] == c * x^i for every x, c (0 included)
-        and 1 <= i <= 6, by the field's own operations; sampled x and c above
-        F_256.  Over F_{q^2} the embedding's rows are those of the image and
-        of the Frobenius pairs."""
-        emb = extend_field(field_from_order(q), k, allow_large=True)
-        E = emb.ext
-        rows = E.power_logs
-        assert len(rows) == E.q
-        if k == 2:
-            assert emb.image_power_logs == tuple(rows[x] for x in emb.image)
-            assert emb.pair_power_logs == tuple(rows[x] for x in emb.frobenius_pairs)
+        """exp2[log[c] + row(x)[i - 1]] == c * x^i for every x with a row,
+        every c (0 included) and 1 <= i <= 6, by the field's own operations;
+        sampled x and c above F_256."""
+        E, rows = self.rows(q, k)
         log, exp2, n = E.log, E.exp2, E.q - 1
         assert rows[0] == (2 * n,) * 6
         if sample is None:
-            xs = cs = E.elements()
+            xs, cs = sorted(rows), E.elements()
         else:
             rng = Random(E.q)
-            xs = [0, 1, n] + rng.sample(range(2, n), sample)
+            xs = [0, 1, max(rows)] + rng.sample(sorted(rows), sample)
             cs = [0, 1, n] + rng.sample(range(2, n), sample)
         for x in xs:
             row = rows[x]
@@ -383,9 +386,10 @@ class TestPowerLogs:
 
     @pytest.mark.parametrize("q", [2, 4, 16, 256, 1024, 4096])
     def test_neg2_is_the_inverse_square(self, q):
-        E = field_from_order(q)
-        assert len(E.neg2) == q
-        assert all(E.exp2[E.neg2[h]] == E.inv(E.mul(h, h)) for h in range(1, q))
+        emb, _, neg2 = _x_classes(field_from_order(q), 1)
+        E = emb.ext
+        assert len(neg2) == q
+        assert all(E.exp2[neg2[h]] == E.inv(E.mul(h, h)) for h in range(1, q))
 
 
 class TestPreimage:
