@@ -194,6 +194,8 @@ class FiniteField:
         self.a = a
         self.q = q
         self.modulus = tuple(modulus)
+        # every lru_cache keyed by a field or a curve hashes the field
+        self._hash = hash((p, a, self.modulus))
         self._modulus_int = _undigits(modulus, p)  # x^a reduces by XOR in char 2
 
     # -- identity ----------------------------------------------------------
@@ -204,7 +206,7 @@ class FiniteField:
         return (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.a, self.modulus))
+        return self._hash
 
     def __reduce__(self):
         # operation tables hold closures; pickle only the spec and rebuild

@@ -15,10 +15,16 @@ u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
 including a double root lifted to second order) and over F_{q^2}
 (irreducible u, one point per Frobenius pair) in O(q^2) field
 operations: h, f and their derivatives come from ``FiniteField.values``,
-and products and quotients run on the discrete-log tables.  The
-classes are made once, as flat int tuples that sort in the wire order
-with no key function, and wrapped once as MumfordDivisor records, a
-NamedTuple of the coefficient tuples u and v.  The resulting cardinality
+and products and quotients run on the discrete-log tables.  Each class
+is made once, a point as an int pair (u0, y) and a degree-2 class as one
+int key whose digits base q are (u0, u1, v0, v1), so both sort in the
+wire order with no key function; each key is then wrapped, by one
+quotient and remainder mod q^2, as a MumfordDivisor record (a NamedTuple
+of the coefficient tuples u and v) over u and v tuples shared per field.
+That per-field table, ``_quadratic_tables``, also keeps what each
+Frobenius pair contributes whatever the curve (log x, the key of its u,
+log 1/(x - x^q)); it is built by the first enumeration over a field and
+bounded like the embedding cache.  The resulting cardinality
 is cross-checked against the order predicted by the Weil polynomial -- a
 mismatch raises the OrderMismatch tripwire, it can only mean an
 implementation bug or a corrupt model.
@@ -42,7 +48,7 @@ from .errors import (
     OrderMismatchError,
     RealModelUnsupportedError,
 )
-from .fields import extend_field
+from .fields import FiniteField, extend_field
 from .weil import jacobian_order, weil_from_counts
 
 JACOBIAN_Q_CAP = 64
@@ -72,6 +78,10 @@ IDENTITY = MumfordDivisor((1,), ())
 def check_divisor(curve: CurveModel, d: MumfordDivisor) -> None:
     """Raise InvalidDivisor unless (u, v) is a reduced divisor on the curve."""
     F = curve.field
+    # checked before trimming, so a trailing False or 0.0 is not dropped as a zero;
+    # a bool is an int subclass, but True would print as true in the wire format
+    if any(type(c) is not int or not 0 <= c < F.q for c in (*d.u, *d.v)):
+        raise InvalidDivisorError("coefficients must be integer encodings below q")
     u, v = poly.trim(d.u), poly.trim(d.v)
     if u != d.u or v != d.v:
         raise InvalidDivisorError("coefficient tuples must be trimmed")
@@ -79,8 +89,6 @@ def check_divisor(curve: CurveModel, d: MumfordDivisor) -> None:
         raise InvalidDivisorError("u must be monic of degree <= 2")
     if poly.degree(v) >= poly.degree(u) and v:
         raise InvalidDivisorError("v must have degree below deg u")
-    if any(not 0 <= c < F.q for c in u + v):
-        raise InvalidDivisorError("coefficients must be encodings below q")
     if poly.mod(F, _norm(curve, v), u):
         raise InvalidDivisorError("u does not divide v^2 + h v - f")
 
@@ -354,24 +362,59 @@ def in_theta(d: MumfordDivisor) -> bool:
     return len(d.u) <= 2
 
 
+@lru_cache(maxsize=64)
+def _quadratic_tables(field: FiniteField) -> tuple[tuple, tuple, tuple]:
+    """The curve-free tables of ``_reduced_divisors`` over F_q: (us, vs, pairs).
+
+    ``us[u0 q + u1]`` is the u tuple (u0, u1, 1) and ``vs[v0 q + v1]`` the
+    trimmed v tuple of v0 + v1 x, so a degree-2 class keyed
+    (u0 q + u1) q^2 + v0 q + v1 decodes, by quotient and remainder mod q^2,
+    into two lookups.  ``pairs`` holds, for each x of ``frobenius_pairs``
+    in F_{q^2}, (log x, q^2 times the key of u = (X - x)(X - x^q),
+    log 1/(x - x^q)), with the norm and trace of x mapped back to F_q as
+    u0 and -u1.  Built by the first enumeration over a field and kept for
+    64 fields, the bound of the embedding cache.
+    """
+    q = field.q
+    emb = extend_field(field, 2, allow_large=True)
+    E, back = emb.ext, emb.preimage
+    elog, eexp2, en = E.log, E.exp2, E.q - 1
+    us = tuple((u0, u1, 1) for u0 in range(q) for u1 in range(q))
+    vs = tuple((v0, v1) if v1 else ((v0,) if v0 else ())
+               for v0 in range(q) for v1 in range(q))
+    pairs = []
+    for x in emb.frobenius_pairs:
+        lx = elog[x]
+        lxq = lx * q % en
+        xq = eexp2[lxq]
+        u = back[eexp2[lx + lxq]] * q + back[E.neg(E.add(x, xq))]
+        pairs.append((lx, u * q * q, en - elog[E.sub(x, xq)]))
+    return us, vs, tuple(pairs)
+
+
 def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     """Every (u, v) with u monic, deg v < deg u <= 2 and u | v^2 + h v - f,
     sorted by (deg u, u, v).
 
     Solved per u from the roots y of y^2 + h(x) y = f(x) at the roots x of
-    u; exact for any model, validated or not.  The classes are collected as
-    flat int tuples, (u0, y) for u = x + u0 and v = y, and (u0, u1, v0, v1)
-    for u = x^2 + u1 x + u0 and v = v0 + v1 x: trimming v only drops
-    trailing zeros, so the natural order of these tuples is the (u, v) order
-    of the trimmed coefficient tuples, and they sort with no key function.
-    Products and quotients run on the log tables of F_q and F_{q^2}.
+    u; exact for any model, validated or not.  A point, u = x + u0 and
+    v = y, is collected as the int pair (u0, y); a degree-2 class,
+    u = x^2 + u1 x + u0 and v = v0 + v1 x, as the single int
+    ((u0 q + u1) q + v0) q + v1.  Its digits base q are (u0, u1, v0, v1), so
+    the int order is the order of those 4-tuples, which is the (u, v) order
+    of the trimmed coefficient tuples since trimming v only drops trailing
+    zeros: both lists sort with no key function.  Each key decodes into the
+    shared u and v tuples of ``_quadratic_tables``, which also holds the
+    curve-free data of each Frobenius pair.  Products and quotients run on
+    the log tables of F_q and F_{q^2}.
     """
     F = curve.field
-    q, n = F.q, F.q - 1
+    q, n, q2 = F.q, F.q - 1, F.q * F.q
     h, f = curve.h, curve.f
     log, exp2 = F.log, F.exp2
     add, sub, neg = F.add, F.sub, F.neg
     solve = F.quadratic_roots
+    us, vs, frobenius = _quadratic_tables(F)
 
     # u = x - a: v is a root y over a
     hs, fs = F.values(h, F.elements()), F.values(f, F.elements())
@@ -380,17 +423,16 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
 
     # u = (x - a)(x - b), a < b: v is the line through (a, y_a) and (b, y_b),
     # v1 = (y_a - y_b) / (a - b) and v0 = y_a - v1 a
-    pairs = []
+    keys = []
     above = [(a, log[a], ys) for a, ys in enumerate(roots) if ys]
     for i, (a, la, ya_s) in enumerate(above):
         for b, lb, yb_s in above[i + 1:]:
-            u0 = exp2[la + lb]
-            u1 = neg(add(a, b))
+            u = (exp2[la + lb] * q + neg(add(a, b))) * q2
             lw = n - log[sub(a, b)]
             for ya in ya_s:
                 for yb in yb_s:
                     v1 = exp2[log[sub(ya, yb)] + lw]
-                    pairs.append((u0, u1, sub(ya, exp2[log[v1] + la]), v1))
+                    keys.append(u + sub(ya, exp2[log[v1] + la]) * q + v1)
 
     # u = (x - a)^2: v = y + v1 (x - a) with (2y + h(a)) v1 = f'(a) - h'(a) y
     mul, inv = F.mul, F.inv
@@ -398,7 +440,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     dhs = F.values(poly.derivative(F, h), at)
     dfs = F.values(poly.derivative(F, f), at)
     for (a, _, ys), dha, dfa in zip(above, dhs, dfs):
-        u0, u1 = mul(a, a), neg(add(a, a))
+        u = (mul(a, a) * q + neg(add(a, a))) * q2
         for y in ys:
             coef = add(add(y, y), hs[a])
             rhs = sub(dfa, mul(dha, y))
@@ -409,40 +451,32 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
             else:
                 lifts = ()
             for v1 in lifts:
-                pairs.append((u0, u1, sub(y, mul(v1, a)), v1))
+                keys.append(u + sub(y, mul(v1, a)) * q + v1)
 
     # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
     # (the pair list point counting uses); v is the F_q-line through (x, y)
-    # and (x^q, y^q), v1 = (y - y^q) / (x - x^q) and v0 = y - v1 x.  x^q,
-    # the norm x^(q+1) and 1/(x - x^q) come off the log tables of F_{q^2}.
+    # and (x^q, y^q), v1 = (y - y^q) / (x - x^q) and v0 = y - v1 x.  log x,
+    # the key of u and log 1/(x - x^q) come from the per-field table.
     emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
     back = emb.preimage
     elog, eexp2, en = E.log, E.exp2, E.q - 1
-    eadd, esub, eneg = E.add, E.sub, E.neg
+    esub = E.sub
     esolve = E.quadratic_roots
     xs = emb.frobenius_pairs
-    for x, hx, fx in zip(xs, E.values(emb.map_poly(h), xs), E.values(emb.map_poly(f), xs)):
-        ys = esolve(hx, fx)
-        if not ys:
-            continue
-        lx = elog[x]
-        lxq = lx * q % en
-        xq = eexp2[lxq]
-        u0, u1 = back[eexp2[lx + lxq]], back[eneg(eadd(x, xq))]
-        lw = en - elog[esub(x, xq)]
-        for y in ys:
+    for (lx, u, lw), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
+                                   E.values(emb.map_poly(f), xs)):
+        for y in esolve(hx, fx):
             d = esub(y, eexp2[elog[y] * q % en]) if y else 0  # y^q: an index mod en needs y != 0
             v1 = eexp2[elog[d] + lw]
-            pairs.append((u0, u1, back[esub(y, eexp2[elog[v1] + lx])], back[v1]))
+            keys.append(u + back[esub(y, eexp2[elog[v1] + lx])] * q + back[v1])
 
     points.sort()
-    pairs.sort()
-    wrap = MumfordDivisor._make  # tuple.__new__, without the keyword-aware constructor
+    keys.sort()
+    new = tuple.__new__  # a C call, without the keyword-aware constructor
     return [IDENTITY,
-            *[wrap(((u0, 1), (y,) if y else ())) for u0, y in points],
-            *[wrap(((u0, u1, 1), (v0, v1) if v1 else ((v0,) if v0 else ())))
-              for u0, u1, v0, v1 in pairs]]
+            *[new(MumfordDivisor, ((u0, 1), (y,) if y else ())) for u0, y in points],
+            *[new(MumfordDivisor, (us[key // q2], vs[key % q2])) for key in keys]]
 
 
 @lru_cache(maxsize=256)
@@ -458,8 +492,8 @@ def enumerate_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     exhaustive (u, v) scan.  A conjugate pair {P, iota(P)} admits no
     interpolating v and a doubled Weierstrass point has no slope, so each
     class of a smooth model appears once.  The classes come out as plain
-    int tuples, sorted by (deg u, u, v) with no key function, and are
-    wrapped as MumfordDivisor records once; the cardinality is checked
+    ints and int pairs, sorted by (deg u, u, v) with no key function, and
+    are wrapped as MumfordDivisor records once; the cardinality is checked
     against the zeta-side order.
     """
     _require_imaginary(curve)

@@ -48,8 +48,9 @@ def test_setup_probe_builds_the_workload_fields(perfbench):
 
 
 def test_setup_builds_no_counting_rows(perfbench):
-    # the x-classes and their rows are built by the first count, not in setup_s;
-    # their cache is process-wide, so the probe runs in a fresh interpreter
+    # the x-classes and their rows are built by the first count, and the
+    # enumeration's quadratic tables by the first enumeration, not in setup_s;
+    # their caches are process-wide, so the probe runs in a fresh interpreter
     _, run = perfbench
     qs = sorted({q for work in run.WORKLOADS.values() for q in work.qs})
     code = f"""
@@ -59,13 +60,14 @@ spec = importlib.util.spec_from_file_location("setup_probe", {str(PERFBENCH / "s
 probe = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(probe)
 probe.build_fields({qs!r})
-from jacobicode import curves, fields
-print(json.dumps([len(fields._FIELDS), curves._x_classes.cache_info().currsize]))
+from jacobicode import curves, fields, mumford
+print(json.dumps([len(fields._FIELDS), curves._x_classes.cache_info().currsize,
+                  mumford._quadratic_tables.cache_info().currsize]))
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    n_fields, built = json.loads(done.stdout)
-    assert n_fields >= len(qs) and built == 0
+    n_fields, built, tables = json.loads(done.stdout)
+    assert n_fields >= len(qs) and built == 0 and tables == 0
 
 
 def test_tracing_wraps_and_restores_the_library(perfbench):

@@ -22,6 +22,7 @@ from jacobicode.bounds import (
 )
 from jacobicode.curves import _x_classes, count_points
 from jacobicode.errors import InvalidRError, TraceHypothesisViolatedError
+from jacobicode.mumford import _quadratic_tables
 from jacobicode.weil import Verdict, WeilData, classify_simplicity, serre_constant, \
     weil_from_counts
 from test_weil import weil_grid
@@ -272,6 +273,6 @@ class TestCodeParams:
 
     def test_caches_are_bounded(self):
         # an unbounded cache would grow with every class a long search meets
-        for fn in (count_points, _x_classes, weil_from_counts, classify_simplicity,
-                   code_params):
+        for fn in (count_points, _x_classes, _quadratic_tables, weil_from_counts,
+                   classify_simplicity, code_params):
             assert fn.cache_parameters()["maxsize"] is not None, fn.__name__

@@ -110,6 +110,16 @@ class TestConstruction:
         assert pickle.loads(pickle.dumps(F)) is F
         assert FiniteField.from_dict(F.to_dict()) is F
 
+    def test_hash_is_taken_once_from_the_spec(self):
+        # the value of hash((p, a, modulus)), so no set or dict order moves
+        for F in (make_field(5), make_field(2, 4), make_field(3, 2, (2, 2, 1))):
+            assert hash(F) == hash((F.p, F.a, F.modulus))
+        F = make_field(2, 4)
+        G = FiniteField(2, 4, (3, 1, 0, 0, 1))  # the default modulus, unreduced
+        assert G is not F and G == F and hash(G) == hash(F)
+        assert hash(pickle.loads(pickle.dumps(G))) == hash(G)
+        assert hash(make_field(2, 4, (1, 1, 1, 1, 1))) != hash(F)
+
 
 class TestArithmetic:
     def test_f4_generator_squares_per_modulus(self, f4):

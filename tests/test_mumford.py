@@ -118,8 +118,9 @@ def solved_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     return tuple(_reduced_divisors(curve))
 
 
-def seeded_curves(q: int, count: int, seed: int) -> list[CurveModel]:
-    space = SearchSpace(field=field_from_order(q), mode=RANDOM, seed=seed, trials=20 * count)
+def seeded_curves(q: int, count: int, seed: int, modulus=None) -> list[CurveModel]:
+    space = SearchSpace(field=field_from_order(q, modulus), mode=RANDOM, seed=seed,
+                        trials=20 * count)
     curves = list(itertools.islice(enumerate_curves(space), count))
     assert len(curves) == count
     return curves
@@ -213,6 +214,22 @@ class TestGroupLaw:
         with pytest.raises(InvalidDivisorError):
             # x^2 + x + 1 is irreducible and does not divide x^5 + x^3 = x^3 (x+1)^2
             check_divisor(curve_e2, MumfordDivisor((1, 1, 1), ()))
+
+    def test_bool_and_float_coefficients_rejected(self):
+        # a bool is an int subclass but prints as true in JSON; a float must end
+        # in InvalidDivisorError, not in a TypeError from the polynomial layer
+        (curve,) = seeded_curves(5, 1, seed=1005)
+        point = MumfordDivisor((1, 1), (1,))
+        pair = next(d for d in enumerate_jacobian(curve) if d.degree == 2 and len(d.v) == 2)
+        for good in (IDENTITY, point, pair):
+            check_divisor(curve, good)
+        for bad in [MumfordDivisor((True,), ()), MumfordDivisor((1, 1), (True,)),
+                    MumfordDivisor((True, 1), (1,)), MumfordDivisor((1, True), (1,)),
+                    MumfordDivisor((1, 1), (1.0,)), MumfordDivisor((0.0, 1.0, 1.0), ()),
+                    MumfordDivisor(tuple(map(float, pair.u)), pair.v),
+                    MumfordDivisor(pair.u, tuple(map(float, pair.v)))]:
+            with pytest.raises(InvalidDivisorError):
+                check_divisor(curve, bad)
 
 
 BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum", "point plus class",
@@ -362,6 +379,7 @@ class TestEnumeration:
         assert_sorted_and_unique(group)
         for d in group:
             check_divisor(curve, d)
+            assert d.u == poly.trim(d.u) and d.v == poly.trim(d.v)
 
     def test_every_element_valid(self, corpus):
         for curves in corpus.values():
@@ -429,6 +447,19 @@ class TestScanOracle:
     def test_seeded_valid_models(self, q, count):
         for curve in seeded_curves(q, count, seed=1000 + q):
             assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
+
+    @pytest.mark.parametrize("q,modulus", [(8, (1, 0, 1, 1)), (9, (2, 2, 1)),
+                                           (16, (1, 1, 1, 1, 1))])
+    def test_supplied_moduli(self, q, modulus):
+        # the per-field tables are keyed by the field: the default-modulus
+        # field of the same order keeps its own Frobenius-pair table
+        for curve in seeded_curves(q, 2, seed=1100 + q, modulus=modulus):
+            assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
+        default, supplied = field_from_order(q), field_from_order(q, modulus)
+        assert default != supplied
+        _, _, default_pairs = mumford._quadratic_tables(default)
+        _, _, supplied_pairs = mumford._quadratic_tables(supplied)
+        assert default_pairs != supplied_pairs
 
     def test_unvalidated_models(self, f2):
         rng = Random(2015)
