@@ -10,7 +10,7 @@ from .bounds import (
     weil_type_point_bound,
 )
 from .curves import CurveModel, PointCount, count_points, validate_curve
-from .explore import SearchSpace, TableRow, analyze_curve, best_codes, enumerate_curves
+from .explore import SearchSpace, TableRow, analyze_curve, best_codes
 from .fields import (
     FieldEmbedding,
     FiniteField,
@@ -41,7 +41,6 @@ from .weil import (
     WeilData,
     WeilFactorization,
     classify_simplicity,
-    extension_count,
     factor_weil,
     jacobian_order,
     serre_constant,

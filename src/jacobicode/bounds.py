@@ -7,7 +7,7 @@ at least n - max{N1 + (r^2-1)m, r N1} with m = [2 sqrt(q)].  That
 maximum over the ways a curve can split into components is computed in
 closed form; the exhaustive search over component decompositions that it
 is tested against lives in the tests.  Every entry point accepts only the
-radii of that test, 1 <= r <= R_MAX (``check_radii``).
+integer radii of that test, 1 <= r <= R_MAX (``check_radii``).
 
 ``code_params`` depends on the isogeny class and r alone, so it is
 memoized on (Weil data, r) in an LRU cache of ``CLASS_CACHE_SIZE``
@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidGenusError, InvalidRError, TraceHypothesisViolatedError
-from .weil import CLASS_CACHE_SIZE, SimplicityVerdict, Verdict, WeilData, \
-    classify_simplicity, jacobian_order, serre_constant
+from .weil import CLASS_CACHE_SIZE, SimplicityVerdict, WeilData, classify_simplicity, \
+    jacobian_order, serre_constant
 
 
 R_MAX = 6  # the closed form is tested against the brute-force maximizer up to here
@@ -33,12 +33,13 @@ R_MAX = 6  # the closed form is tested against the brute-force maximizer up to h
 
 def check_radii(r_values: Sequence[int]) -> tuple[int, ...]:
     """The radii, repeats dropped in first-seen order (one row per (curve, r));
-    InvalidRError unless they are a nonempty list in 1..R_MAX."""
+    InvalidRError unless they are a nonempty list of ints in 1..R_MAX."""
     if not r_values:
         raise InvalidRError("need at least one radius")
     for r in r_values:
-        if not 1 <= r <= R_MAX:
-            raise InvalidRError(f"r must be in 1..{R_MAX}, got {r}")
+        # 1, 1.0 and True are one key of the class caches, so only an int passes
+        if type(r) is not int or not 1 <= r <= R_MAX:
+            raise InvalidRError(f"r must be in 1..{R_MAX}, got {r!r}")
     return tuple(dict.fromkeys(r_values))
 
 
@@ -125,10 +126,8 @@ def code_params(w: WeilData, r: int) -> CodeReport:
     warnings: list[str] = []
     if r < 3:
         warnings.append("very-ample-not-guaranteed")
-    if simplicity.verdict is Verdict.NOT_SIMPLE:
+    if not simplicity.is_simple:
         warnings.append("jacobian-not-simple")
-    elif simplicity.verdict is Verdict.UNKNOWN:
-        warnings.append("simplicity-unknown")
     if d_lb <= 0:
         warnings.append("distance-bound-nonpositive")
 

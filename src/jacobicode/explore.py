@@ -154,11 +154,6 @@ def _curves(space: SearchSpace, encodings: Iterable[tuple[int, int]]
             yield curve
 
 
-def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
-    """Validated models of the space, in candidate order, without repeats."""
-    return _curves(space, _unique(space))
-
-
 class TableRow(NamedTuple):
     """One (curve, r) line of a code table, carrying the full pipeline output."""
 

@@ -1,13 +1,13 @@
 """Weil polynomials of genus-2 Jacobians from point counts.
 
 The quartic t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2 is recovered exactly from
-(N1, N2); extension counts come back out through Newton's identities, the
-group order is the value at 1, and the factorization over the integers is
-read off in closed form from the real quadratic g with f(t) = t^2 g(t + q/t)
-(a perfect-square discriminant of g splits f into two quadratics), then
-checked by multiplying back.  Simplicity of the Jacobian is decided from the factorization
-shape alone; the repeated-quadratic case with middle coefficient divisible
-by the characteristic is deliberately left Unknown.
+(N1, N2); the group order is the value at 1, cross-checked through Newton's
+identities, and the factorization over the integers is read off in closed
+form from the real quadratic g with f(t) = t^2 g(t + q/t) (a perfect-square
+discriminant of g splits f into two quadratics), then checked by
+multiplying back.  Simplicity of the Jacobian is decided from the
+factorization shape and, for a square h^2, from whether h is the Frobenius
+polynomial of an elliptic curve (Waterhouse 1969, Thm 4.1).
 
 Everything here depends on the isogeny class (q, c1, c2) alone, never on
 the curve, so ``weil_from_counts`` (keyed by (q, N1, N2)) and
@@ -95,15 +95,18 @@ class _WeilFields(NamedTuple):
 class WeilData(_WeilFields):
     """Coefficients (q, c1, c2) of t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2.
 
-    c1 equals the trace term: N1 = q + 1 + c1.  Construction validates the
-    prime power, the Serre bound on c1, and (exactly) that all complex
-    roots have modulus sqrt(q).
+    c1 equals the trace term: N1 = q + 1 + c1.  Construction validates int
+    fields, the prime power, the Serre bound on c1, and (exactly) that all
+    complex roots have modulus sqrt(q).
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "WeilData":
         self = super().__new__(cls, *args, **kwargs)
+        # 2 and 2.0 are one key of the class caches, so only an int passes
+        if any(type(v) is not int for v in self):
+            raise InconsistentCountsError("q, p, c1 and c2 must be integers")
         if self.p != _characteristic(self.q):
             raise InconsistentCountsError(
                 f"p = {self.p} is not the characteristic of q = {self.q}")
@@ -147,13 +150,6 @@ def power_sums(w: WeilData, k_max: int) -> list[int]:
     for k in range(1, k_max + 1):
         ps[k] = -(k * a[k] + sum(a[i] * ps[k - i] for i in range(1, min(k, 5))))
     return ps
-
-
-def extension_count(w: WeilData, k: int) -> int:
-    """N_k = q^k + 1 - p_k, exactly; k in 1..8."""
-    if not 1 <= k <= 8:
-        raise ValueError("extension degree k must be in 1..8")
-    return w.q ** k + 1 - power_sums(w, k)[k]
 
 
 def jacobian_order(w: WeilData) -> int:
@@ -243,7 +239,6 @@ def _shape_of(factors: list[tuple[IntPoly, int]]) -> FactorShape:
 class Verdict(enum.Enum):
     SIMPLE = "simple"
     NOT_SIMPLE = "not-simple"
-    UNKNOWN = "unknown"
 
 
 class SimplicityVerdict(NamedTuple):
@@ -255,15 +250,26 @@ class SimplicityVerdict(NamedTuple):
         return self.verdict is Verdict.SIMPLE
 
 
+def _elliptic_trace(q: int, p: int, s: int) -> bool:
+    """Whether t^2 - s t + q, with s^2 <= 4q, is the Frobenius polynomial of
+    an elliptic curve over F_q, q = p^a (Waterhouse 1969, Thm 4.1)."""
+    if s % p:
+        return True  # ordinary
+    if math.isqrt(q) ** 2 != q:  # a odd
+        return s == 0 or (p in (2, 3) and s * s == p * q)
+    return s * s == 4 * q or (s * s == q and p % 3 != 1) or (s == 0 and p % 4 != 1)
+
+
 @lru_cache(maxsize=CLASS_CACHE_SIZE)
 def classify_simplicity(w: WeilData) -> SimplicityVerdict:
-    """Simple / not simple / unknown from the factorization shape.
+    """Simple or not simple, from the factorization shape.
 
-    Any proper factor corresponds to an elliptic piece of the isogeny
-    class, so only the irreducible quartic is certified simple.  A repeated
-    quadratic with middle coefficient prime to p is the ordinary square
-    case (isogenous to E x E); with p dividing the middle coefficient no
-    decision procedure is implemented and the verdict stays Unknown.
+    Linear factors and two distinct quadratics split the class into elliptic
+    pieces; a non-elliptic quadratic is never a single factor of a surface's
+    polynomial (Tate-Honda).  A square h^2 belongs to E x E when h is the
+    Frobenius polynomial of an elliptic curve E, and is otherwise simple or
+    belongs to no surface.  h = t^2 - q, q not a square, is never elliptic:
+    its Weil number sqrt(q) is real.
     """
     fac = factor_weil(w)
     if fac.shape is FactorShape.IRREDUCIBLE_QUARTIC:
@@ -272,8 +278,9 @@ def classify_simplicity(w: WeilData) -> SimplicityVerdict:
         return SimplicityVerdict(Verdict.NOT_SIMPLE, "linear-factors")
     if fac.shape is FactorShape.TWO_QUADRATICS:
         return SimplicityVerdict(Verdict.NOT_SIMPLE, "distinct-quadratics")
-    quad = fac.factors[0][0]
-    b = quad[1]
-    if math.gcd(b, w.p) == 1:
+    (gamma, b, _), _ = fac.factors[0]
+    if gamma != w.q or not _elliptic_trace(w.q, w.p, -b):
+        return SimplicityVerdict(Verdict.SIMPLE, "non-elliptic-square")
+    if b % w.p:
         return SimplicityVerdict(Verdict.NOT_SIMPLE, "ordinary-square")
-    return SimplicityVerdict(Verdict.UNKNOWN, "repeated-quadratic-undecided")
+    return SimplicityVerdict(Verdict.NOT_SIMPLE, "supersingular-square")

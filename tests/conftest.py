@@ -9,11 +9,12 @@ stay quick.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import pytest
 
 from jacobicode.curves import CurveModel, validate_curve
-from jacobicode.explore import SearchSpace, enumerate_curves
+from jacobicode.explore import SearchSpace, _curves, _unique
 from jacobicode.fields import field_from_order, make_field
 
 CORPUS_SLICE = {2: None, 3: None, 4: 12, 5: 12}
@@ -48,6 +49,12 @@ def curve_e1(f2) -> CurveModel:
 def curve_e2(f2) -> CurveModel:
     """y^2 + y = x^5 + x^3 over F_2."""
     return validate_curve(f2, (1,), (0, 0, 0, 1, 0, 1))
+
+
+def enumerate_curves(space: SearchSpace) -> Iterator[CurveModel]:
+    """Validated models of the space, in candidate order, without repeats:
+    the search's own candidate stream, without the pipeline."""
+    return _curves(space, _unique(space))
 
 
 def corpus_for(q: int) -> list[CurveModel]:

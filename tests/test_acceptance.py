@@ -24,7 +24,7 @@ from jacobicode.bounds import (
 )
 from jacobicode.cli import run_cli
 from jacobicode.curves import count_points, validate_curve
-from jacobicode.explore import RANDOM, SearchSpace, best_codes, enumerate_curves
+from jacobicode.explore import RANDOM, SearchSpace, best_codes
 from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
@@ -40,14 +40,15 @@ from jacobicode.weil import (
     FactorShape,
     Verdict,
     classify_simplicity,
-    extension_count,
     factor_weil,
     jacobian_order,
     serre_constant,
     weil_from_counts,
 )
 
+from conftest import enumerate_curves
 from test_bounds import support_bound_bruteforce
+from test_weil import elliptic_product_classes, extension_count
 
 # documented search configuration for the F_16 regime demonstration:
 # seed 2024 finds an N1 = 33 model within the first 5000 draws
@@ -282,3 +283,43 @@ def test_c10_search_determinism(tmp_path):
     assert data["seed"] == F16_SEED
     print(f"ACCEPTANCE C10 pass: byte-identical search output at parallelism "
           f"1 and 8 ({len(outputs[0])} bytes)")
+
+
+def test_c11_simplicity_equals_elliptic_product_oracle(exhaustive_sweep):
+    # a surface is not simple iff its quartic is a product of two elliptic
+    # Frobenius polynomials, with the traces taken from a census of all
+    # elliptic curves; each isogeny class of the sweep is checked once
+    classes = {weil_from_counts(rec.q, rec.n1, rec.n2) for rec in exhaustive_sweep.records}
+    assert len(classes) == 172
+    simple = 0
+    for w in classes:
+        product = (w.c1, w.c2) in elliptic_product_classes(w.q)
+        assert classify_simplicity(w).is_simple == (not product), w
+        simple += not product
+    print(f"ACCEPTANCE C11 pass: simplicity equals the elliptic-product oracle on "
+          f"{len(classes)} classes ({simple} simple) of the q <= 5 censuses")
+
+
+def test_c12_non_elliptic_square_certifies_over_f8():
+    # (t^2 - 8)^2: a simple surface, as sqrt(8) is real, so the r = 2 bound
+    # certifies; every zero-sum pair (P, -P) keeps at least d_lb positions
+    t0 = time.monotonic()
+    curve = validate_curve(make_field(2, 3), (2,), (2, 5, 2, 7, 2, 1))
+    w = weil_from_counts(8, count_points(curve, 1).count, count_points(curve, 2).count)
+    assert (w.c1, w.c2) == (0, -16)
+    assert factor_weil(w).factors == (((-8, 0, 1), 2),)
+    report = code_params(w, 2)
+    assert report.simplicity == (Verdict.SIMPLE, "non-elliptic-square")
+    assert (report.n, report.d_lb, report.certified) == (49, 25, True)
+    group = enumerate_jacobian(curve)
+    theta = theta_set(curve)
+    weights = []
+    for pair in zero_sum_tuples(curve, 2):
+        exp = translate_support_count(curve, pair)
+        translates = [{cantor_add(curve, t, p) for t in theta} for p in pair]
+        assert exp.support_count == len(translates[0] | translates[1])
+        weights.append(len(group) - exp.support_count)
+    assert len(weights) == report.n and min(weights) >= report.d_lb
+    elapsed = time.monotonic() - t0
+    print(f"ACCEPTANCE C12 pass: a non-elliptic square over F_8 certifies d_lb = "
+          f"{report.d_lb} <= {min(weights)} on {len(weights)} pairs ({elapsed:.1f} s)")

@@ -15,6 +15,7 @@ from mpmath import mp, mpf, sqrt as mpsqrt
 from jacobicode.bounds import (
     R_MAX,
     Branch,
+    check_radii,
     code_params,
     distance_threshold,
     support_bound,
@@ -252,6 +253,19 @@ class TestCodeParams:
         assert code_params(w, R_MAX).k == R_MAX ** 2
         rep = code_params(w, 2)
         assert "very-ample-not-guaranteed" in rep.warnings
+
+    @pytest.mark.parametrize("r", [True, 1.0, 2.5, "3"])
+    def test_non_int_radius_rejected(self, r):
+        # 1, 1.0 and True are one cache key: a bool or float radius would poison
+        # the entry of an int one, and 2.5 would give k = 6.25
+        w = weil_from_counts(2, 5, 5)
+        code_params.cache_clear()
+        with pytest.raises(InvalidRError):
+            code_params(w, r)
+        with pytest.raises(InvalidRError):
+            check_radii([3, r])
+        rep = code_params(w, 1)
+        assert type(rep.r) is int and rep.to_dict()["r"] == 1 and type(rep.k) is int
 
     def test_certified_requires_simple_and_positive(self):
         # a certified example found over F_16 by random search

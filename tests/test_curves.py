@@ -39,10 +39,10 @@ from jacobicode.errors import (
     SingularModelError,
     WrongDegreeError,
 )
-from jacobicode.explore import RANDOM, SearchSpace, enumerate_curves
+from jacobicode.explore import RANDOM, SearchSpace
 from jacobicode.fields import extend_field, field_from_order, make_field
 from jacobicode.weil import serre_constant
-from conftest import evaluate
+from conftest import enumerate_curves, evaluate
 
 
 # -- oracles -----------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from jacobicode import explore
 from jacobicode.curves import validate_curve
-from jacobicode.errors import JacobicodeError, SpaceTooLargeError
+from jacobicode.errors import InvalidRError, JacobicodeError, SpaceTooLargeError
 from jacobicode.explore import (
     RANDOM,
     SearchSpace,
@@ -18,9 +18,9 @@ from jacobicode.explore import (
     analyze_curve,
     best_codes,
     csv_row,
-    enumerate_curves,
 )
 from jacobicode.fields import make_field
+from conftest import enumerate_curves
 
 
 @pytest.fixture
@@ -143,6 +143,14 @@ class TestBestCodes:
         with pytest.raises(JacobicodeError):
             best_codes(SearchSpace(field=f2), [])
         assert validated == []
+
+    def test_non_int_radius_is_rejected_before_counting(self, curve_e2, monkeypatch):
+        rows = analyze_curve(curve_e2, [1])  # an int radius caches its report
+        monkeypatch.setattr(explore, "count_points", None)
+        for r_values in ([1.0], [True], [1, 2.5]):
+            with pytest.raises(InvalidRError):
+                analyze_curve(curve_e2, r_values)
+        assert type(rows[0].report.r) is int
 
     def test_repeated_draws_and_radii_give_one_table(self, f2):
         # 256 candidates, 2000 draws: almost every candidate repeats

@@ -2,8 +2,10 @@
 
 A static check with the standard ``ast`` module: an import binds names,
 and each bound name must appear as a loaded ``Name`` in the same module.
-``__init__.py`` is exempt, as its imports are the package's exports.  A
-fresh interpreter checks what ``import jacobicode`` loads.
+``__init__.py`` is exempt, as its imports are the package's exports; each
+export must in turn be read by the library, the benchmark or the scripts,
+so that no library code serves the tests alone.  A fresh interpreter
+checks what ``import jacobicode`` loads.
 """
 
 from __future__ import annotations
@@ -17,8 +19,28 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "jacobicode").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ROOT / "src" / "jacobicode"
+LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
+# the code outside the tests: an export that none of it reads is test-only
+CONSUMERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name the source reads, as a variable or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def exported_names(source: str) -> list[str]:
+    """Names a package ``__init__`` binds by ``from .module import ...``."""
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +68,19 @@ def test_checker_flags_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_exports_and_reads():
+    source = "from .a import b, c as d\nfrom e import f\nx = g.h + i\n"
+    assert exported_names(source) == ["b", "d"]
+    assert loaded_names(source) == {"g", "h", "i"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    read = set().union(*(loaded_names(p.read_text()) for p in CONSUMERS))
+    exports = exported_names((PACKAGE / "__init__.py").read_text())
+    assert len(exports) > 40
+    assert [name for name in exports if name not in read] == []
 
 
 def test_import_leaves_out_dataclasses():

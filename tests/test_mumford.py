@@ -19,7 +19,7 @@ from jacobicode.errors import (
     RealModelUnsupportedError,
     SingularModelError,
 )
-from jacobicode.explore import RANDOM, SearchSpace, analyze_curve, enumerate_curves
+from jacobicode.explore import RANDOM, SearchSpace, analyze_curve
 from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
@@ -37,7 +37,7 @@ from jacobicode.mumford import (
     zero_sum_tuples,
 )
 from jacobicode.weil import jacobian_order, weil_from_counts
-from conftest import evaluate
+from conftest import enumerate_curves, evaluate
 from test_curves import INFINITY, CurvePoint, curve_points
 
 D_X0 = MumfordDivisor((0, 1), ())     # (x, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 
 from jacobicode.curves import count_points
 from jacobicode.errors import InconsistentCountsError, NotPrimeError
-from jacobicode.fields import prime_power
+from jacobicode.fields import field_from_order, prime_power
 from jacobicode.weil import (
     FactorShape,
     IntPoly,
     Verdict,
     WeilData,
     WeilFactorization,
+    _elliptic_trace,
     _shape_of,
     classify_simplicity,
-    extension_count,
     factor_weil,
     jacobian_order,
     power_sums,
@@ -28,6 +29,17 @@ from jacobicode.weil import (
     serre_constant,
     weil_from_counts,
 )
+
+
+# prime powers up to 32, the fields of the elliptic-trace census
+CENSUS_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+def extension_count(w: WeilData, k: int) -> int:
+    """N_k = q^k + 1 - p_k from the Weil data, exactly; k in 1..8."""
+    if not 1 <= k <= 8:
+        raise ValueError("extension degree k must be in 1..8")
+    return w.q ** k + 1 - power_sums(w, k)[k]
 
 
 def numeric_root_moduli(coeffs_low_first) -> list[float]:
@@ -177,6 +189,63 @@ def weil_grid(q_max: int):
                     continue
 
 
+def _weierstrass_models(F):
+    """(a1, a3, a2, a4, a6) of Weierstrass models with nonzero discriminant
+    covering every isomorphism class of elliptic curves over F."""
+    els = F.elements()
+    add, mul, p = F.add, F.mul, F.p
+    if p == 2:  # discriminants a6 and a3^4
+        yield from ((1, 0, a2, 0, a6) for a2 in els for a6 in els if a6)
+        yield from ((0, a3, 0, a4, a6) for a3 in els if a3 for a4 in els for a6 in els)
+    elif p == 3:  # y^2 = x^3 + a2 x^2 + a4 x + a6: a2^2 a4^2 - a4^3 - a2^3 a6
+        for a2 in els:
+            for a4 in els:
+                for a6 in els:
+                    a2a4 = mul(a2, a4)
+                    if F.sub(mul(a2a4, a2a4), add(F.pow_(a4, 3), mul(F.pow_(a2, 3), a6))):
+                        yield 0, 0, a2, a4, a6
+    else:  # y^2 = x^3 + a4 x + a6: 4 a4^3 + 27 a6^2
+        yield from ((0, 0, 0, a4, a6) for a4 in els for a6 in els
+                    if add(mul(4 % p, F.pow_(a4, 3)), mul(27 % p, mul(a6, a6))))
+
+
+@lru_cache(maxsize=None)
+def elliptic_traces(q: int) -> frozenset[int]:
+    """Traces q + 1 - #E(F_q) of every elliptic curve over F_q, by counting
+    the points of every model of ``_weierstrass_models``."""
+    F = field_from_order(q)
+    els = F.elements()
+    add, mul = F.add, F.mul
+    solutions = [[0] * q for _ in els]  # #{y : y^2 + b y = c} at [b][c]
+    for b in els:
+        for y in els:
+            solutions[b][mul(y, add(y, b))] += 1
+    squares = [mul(x, x) for x in els]
+    cubes = [mul(x2, x) for x, x2 in zip(els, squares)]
+    traces = set()
+    for a1, a3, a2, a4, a6 in _weierstrass_models(F):
+        count = 1 + sum(
+            solutions[add(mul(a1, x), a3)][add(add(cubes[x], mul(a2, squares[x])),
+                                               add(mul(a4, x), a6))]
+            for x in els)
+        traces.add(q + 1 - count)
+    return frozenset(traces)
+
+
+def elliptic_product_classes(q: int) -> frozenset[tuple[int, int]]:
+    """(c1, c2) of every (t^2 - s1 t + q)(t^2 - s2 t + q) with s1 and s2
+    elliptic traces: the classes of the non-simple surfaces over F_q."""
+    traces = elliptic_traces(q)
+    return frozenset((-(s1 + s2), s1 * s2 + 2 * q) for s1 in traces for s2 in traces)
+
+
+def is_elliptic_factor(q: int, quad: IntPoly) -> bool:
+    """Whether the monic quadratic quad is t^2 - s t + q with s a trace of
+    the census."""
+    gamma, b, _ = quad
+    return gamma == q and -b in elliptic_traces(q)
+
+
 class TestSerreConstant:
     @pytest.mark.parametrize("q,m", [(2, 2), (3, 3), (4, 4), (5, 4), (7, 5),
                                      (8, 5), (9, 6), (16, 8), (25, 10)])
@@ -218,6 +287,18 @@ class TestFromCounts:
     def test_not_prime_power(self):
         with pytest.raises(InconsistentCountsError):
             weil_from_counts(6, 7, 37)
+
+    def test_non_int_fields_rejected(self):
+        # a float or bool hashes like the int it equals, so it would share its
+        # cache entry; True would print as true in JSON
+        weil_from_counts.cache_clear()
+        with pytest.raises(InconsistentCountsError):
+            weil_from_counts(2, 5.0, 5)
+        w = weil_from_counts(2, 5, 5)
+        assert [type(v) for v in w] == [int] * 4 and (w.c1, w.c2) == (2, 2)
+        for fields in ((2, 2, True, 2), (2, 2, 2, 2.0), (2.0, 2, 2, 2), (2, 2, 0, False)):
+            with pytest.raises(InconsistentCountsError):
+                WeilData(*fields)
 
     def test_repeated_root_case_is_accepted_exactly(self):
         # (t + 4)^4: a maximal curve's quartic over F_16; double precision
@@ -379,20 +460,68 @@ class TestSimplicity:
         v = classify_simplicity(WeilData(q=2, p=2, c1=2, c2=5))
         assert v.verdict is Verdict.NOT_SIMPLE and v.reason == "ordinary-square"
 
-    def test_supersingular_square_is_unknown(self):
-        # (t^2 - 2)^2 = t^4 - 4t^2 + 4 over q = 2: b = 0 shares the characteristic
+    def test_squares_with_p_dividing_the_middle_coefficient(self):
+        # (t^2 - 2)^2: the real Weil number sqrt(2) belongs to a simple surface
         v = classify_simplicity(WeilData(q=2, p=2, c1=0, c2=-4))
-        assert v.verdict is Verdict.UNKNOWN
+        assert v == (Verdict.SIMPLE, "non-elliptic-square")
+        # (t^2 + 2)^2: E x E for the supersingular E of trace 0 over F_2
+        v = classify_simplicity(WeilData(q=2, p=2, c1=0, c2=4))
+        assert v == (Verdict.NOT_SIMPLE, "supersingular-square")
+        # (t^2 + 4t + 16)^2 over F_16: s = -4, s^2 = q and p = 2 is elliptic
+        v = classify_simplicity(WeilData(q=16, p=2, c1=8, c2=48))
+        assert v == (Verdict.NOT_SIMPLE, "supersingular-square")
+        # (t^2 + 5)^2 is elliptic over F_5 and (t^2 - 5)^2 is not
+        assert not classify_simplicity(WeilData(q=5, p=5, c1=0, c2=10)).is_simple
+        assert classify_simplicity(WeilData(q=5, p=5, c1=0, c2=-10)).is_simple
 
-    def test_simple_iff_irreducible(self, corpus):
+    def test_verdict_has_two_members(self):
+        assert [v.value for v in Verdict] == ["simple", "not-simple"]
+
+    def test_simple_iff_irreducible_or_non_elliptic_square(self, corpus):
         for q, curves in corpus.items():
             for curve in curves[:20]:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
                 simple = classify_simplicity(w).verdict is Verdict.SIMPLE
-                irreducible = factor_weil(w).shape is FactorShape.IRREDUCIBLE_QUARTIC
-                assert simple == irreducible
+                fac = factor_weil(w)
+                irreducible = fac.shape is FactorShape.IRREDUCIBLE_QUARTIC
+                non_elliptic_square = (fac.shape is FactorShape.SQUARE_OF_QUADRATIC
+                                       and not is_elliptic_factor(q, fac.factors[0][0]))
+                assert simple == (irreducible or non_elliptic_square)
+
+    def test_non_simple_iff_elliptic_product_on_the_grid(self):
+        # every admissible class for q <= 32; a class with a non-elliptic
+        # factor other than a square belongs to no surface and stays not simple
+        products = squares_outside = 0
+        for w in weil_grid(32):
+            product = (w.c1, w.c2) in elliptic_product_classes(w.q)
+            shape = factor_weil(w).shape
+            simple_shape = shape in (FactorShape.IRREDUCIBLE_QUARTIC,
+                                     FactorShape.SQUARE_OF_QUADRATIC)
+            assert classify_simplicity(w).is_simple == (simple_shape and not product), w
+            products += product
+            squares_outside += shape is FactorShape.SQUARE_OF_QUADRATIC and not product
+        assert (products, squares_outside) == (2123, 33)
+
+
+class TestEllipticTraces:
+    """Waterhouse's trace predicate against a census of all elliptic curves."""
+
+    def test_census_small_fields(self):
+        assert elliptic_traces(2) == frozenset(range(-2, 3))
+        # over F_4 the traces prime to 2, then 0, +-2 (s^2 = q) and +-4 (s^2 = 4q)
+        assert elliptic_traces(4) == frozenset(range(-4, 5))
+        # over F_9 (p = 3 = 0 mod 3) s = +-3 is elliptic; s = 0 too, as 3 = 3 mod 4
+        assert elliptic_traces(9) == frozenset(range(-6, 7))
+        # over F_25 s = +-5 is elliptic (5 = 2 mod 3) and s = 0 is not (5 = 1 mod 4)
+        assert 0 not in elliptic_traces(25) and {-10, -5, 5, 10} <= elliptic_traces(25)
+
+    @pytest.mark.parametrize("q", CENSUS_QS)
+    def test_predicate_equals_census(self, q):
+        p, _ = prime_power(q)
+        m = serre_constant(q)
+        assert elliptic_traces(q) == {s for s in range(-m, m + 1) if _elliptic_trace(q, p, s)}
 
 
 class TestClassCaches:
