@@ -1,13 +1,14 @@
 """Jacobian group oracle for imaginary genus-2 models.
 
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
-2, deg v < deg u, and u dividing v^2 + h v - f.  The group law adds two
-classes with coprime u, and doubles a class whose u is coprime to
-2v + h, by explicit formulas whatever the degrees: straight-line on
-field scalars when both classes have degree 2, on coefficient tuples
-when one is a point.  It falls back to Cantor's composition-and-reduction
-for the rest: u with a common root, and doubles at a Weierstrass point;
-Cantor's algorithm is also the tests' oracle for the formulas.
+2, deg v < deg u, and u dividing v^2 + h v - f.  The group law is in
+closed form for every pair.  It adds two classes with coprime u, and
+doubles a class whose u is coprime to 2v + h, by explicit formulas
+whatever the degrees: straight-line on field scalars when both classes
+have degree 2, on coefficient tuples when one is a point.  Classes whose
+u share a root a read the sum off the points over a, and a double at a
+Weierstrass point is the tangent at the other point.  Cantor's
+composition and reduction is the tests' oracle for all of it.
 
 The whole group is enumerated by solving the divisibility condition per
 u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
@@ -21,10 +22,12 @@ int key whose digits base q are (u0, u1, v0, v1), so both sort in the
 wire order with no key function; each key is then wrapped, by one
 quotient and remainder mod q^2, as a MumfordDivisor record (a NamedTuple
 of the coefficient tuples u and v) over u and v tuples shared per field.
-That per-field table, ``_quadratic_tables``, also keeps what each
-Frobenius pair contributes whatever the curve (log x, the key of its u,
-log 1/(x - x^q)); it is built by the first enumeration over a field and
-bounded like the embedding cache.  The resulting cardinality
+That per-field table, ``_quadratic_tables``, also keeps the F_q
+coordinates of F_{q^2} in a basis (1, t) and what each Frobenius pair
+contributes whatever the curve (the key of its u and two logs), so a
+point over F_{q^2} gives its line by two log products over F_q; it is
+built by the first enumeration over a field and bounded like the
+embedding cache.  The resulting cardinality
 is cross-checked against the order predicted by the Weil polynomial -- a
 mismatch raises the OrderMismatch tripwire, it can only mean an
 implementation bug or a corrupt model.
@@ -37,6 +40,7 @@ identity.  The image is the theta set, the degree <= 1 classes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice, product
 from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
@@ -106,23 +110,23 @@ def _require_imaginary(curve: CurveModel) -> None:
 
 
 def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
-    """Group law: explicit formulas where they apply, Cantor's algorithm otherwise.
+    """Group law on reduced classes, in closed form for every pair.
 
-    The identity and a class plus its negative are read off directly.  The
-    sum of two classes with coprime u, and the double of a class whose u is
-    coprime to 2v + h, take one composition and one reduction step (Lange
-    2005, affine, any h), whatever the degrees: straight-line on scalars
-    when both operands have degree 2, on coefficient tuples when one has
-    degree 1 (``_explicit_sum``).  The rest -- u1 and u2 with a common
-    root, equal u with unrelated v, a double whose u shares a root with
-    2v + h -- goes through Cantor's composition and reduction.  A pair
-    whose sum would need an inexact division raises InvalidDivisorError on
-    either path.  Inputs are not validated beyond that (``check_divisor``
-    does): the identity returns the other operand as it is, and every pair
-    of formal negatives (equal u, v1 + v2 + h = 0 mod u) sums to the
-    identity, on the curve or not.  ``_cantor`` checks some of those pairs:
-    on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2, the off-curve class
-    (x^2, x) doubles to the identity here and raises there.
+    The identity and a class plus its negative are read off directly.  Two
+    classes with coprime u, and a double whose u is coprime to 2v + h,
+    take one composition and one reduction step (Lange 2005, affine, any
+    h; ``_explicit_sum``).  Every other pair has a common root a of u1 and
+    u2 in F_q, and the points over a give the sum (``_shared_root``,
+    ``_split_double``).  Those forms skip the exact division of a
+    composition, so they check every point they read on the curve; they
+    and an inexact division raise InvalidDivisorError.  Inputs are not
+    validated beyond that (``check_divisor`` does): the identity returns
+    the other operand as it is, and every pair of formal negatives (equal
+    u, v1 + v2 + h = 0 mod u) sums to the identity, on the curve or not.
+    Cantor's algorithm (Math. Comp. 48, 1987) is the tests' oracle: it
+    equals this law on valid classes and rejects no pair that this law
+    accepts; on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2 it rejects the
+    off-curve (x^2, x) doubled, which this law sends to the identity.
     """
     _require_imaginary(curve)
     if d1.u == (1,):
@@ -131,12 +135,11 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
         return d1
     if len(d1.u) > len(d2.u):
         d1, d2 = d2, d1
-    out = _explicit_sum(curve, d1, d2)
-    return _cantor(curve, d1, d2) if out is None else out
+    return _explicit_sum(curve, d1, d2)
 
 
-def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
-                  d2: MumfordDivisor) -> MumfordDivisor | None:
+def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
+                  s: tuple[int, int] | None = None) -> MumfordDivisor:
     """d1 + d2, deg u1 <= deg u2: one composition, at most one reduction step.
 
     The identity when u1 == u2 and v1 + v2 + h = 0 mod u.  Otherwise V
@@ -150,18 +153,20 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     or a point doubled) is already reduced and (U, V) is the sum.
     Otherwise the sum is u' = monic((f - h V - V^2) / U) and
     v' = (-h - V) mod u'; u' has degree 1 when deg U = 4 and s is
-    constant.  Returns None when the divisor w of s shares a root with m
-    (their resultant is 0), and when u1 == u2 with unrelated v1 and v2:
-    Cantor's algorithm takes those.
+    constant.  When the divisor w of s shares a root x0 with m (their
+    resultant is 0), u1 and u2 share x0 (``_shared_root``), or a double of
+    P + W has its Weierstrass point W over x0: 2W = 0, so the sum is the
+    tangent at P.  Equal u with unrelated v go to ``_split_double``.
 
-    Two degree-2 operands -- a sum with coprime u, a double with u prime
-    to 2v + h -- run straight-line on scalars, with the field's add, sub,
-    mul and inv only and one body for every field; the division by U keeps
-    its remainder check, which is the only validity check of a double.
-    An operand of degree 1 (a point plus a class, two points) runs the
-    same steps on coefficient tuples, ``_point_sum``.  A straight-line
-    version of those waits on a benchmark whose peak memory does not grow
-    with its op count (ROADMAP item 2).
+    Two degree-2 operands run straight-line on scalars, with the field's
+    add, sub, mul and inv only and one body for every field; the division
+    by U keeps its remainder check, which is the only validity check of a
+    double.  A given s = (s0, s1) skips to that body: ``_shared_root``
+    passes the s of a composition lifted at a shared root.  An operand of
+    degree 1 (a point plus a class, two points) runs the same steps on
+    coefficient tuples, ``_point_sum`` and ``_sum_tuples``.  A
+    straight-line version of those waits on a benchmark whose peak memory
+    does not grow with its op count (ROADMAP item 2).
     """
     if len(d1.u) < 3:
         return _point_sum(curve, d1, d2)
@@ -172,38 +177,40 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     a0, a1, _ = d1.u
     b0, b1, _ = d2.u
     p0, p1 = (d1.v + (0, 0))[:2]
-    q0, q1 = (d2.v + (0, 0))[:2]
-    if d1.u == d2.u:
-        # w = (v1 + v2 + h) mod u
-        w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
-        w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
-        if not (w0 or w1):
-            return IDENTITY
-        if d1.v != d2.v:
-            return None
-        # t = k mod u, k the quotient of f - h v - v^2 (degree 5) by u; its
-        # remainder is checked by the division by U = u^2 below
-        k3 = f5
-        k2 = sub(f4, mul(k3, a1))
-        k1 = sub(sub(f3, mul(h2, p1)), add(mul(k3, a0), mul(k2, a1)))
-        k0 = sub(sub(f2, add(add(mul(h2, p0), mul(h1, p1)), mul(p1, p1))),
-                 add(mul(k2, a0), mul(k1, a1)))
-        c2, c1 = sub(k2, mul(k3, a1)), sub(k1, mul(k3, a0))
-        t0, t1 = sub(k0, mul(c2, a0)), sub(c1, mul(c2, a1))
+    if s is not None:
+        s0, s1 = s
     else:
-        w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
-        t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
+        q0, q1 = (d2.v + (0, 0))[:2]
+        if d1.u == d2.u:
+            # w = (v1 + v2 + h) mod u
+            w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
+            w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
+            if not (w0 or w1):
+                return IDENTITY
+            if d1.v != d2.v:
+                return _split_double(curve, d1, d2)
+            t0, t1 = _quotient_mod_u(curve, d1)  # t = k mod u
+        else:
+            w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
+            t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
 
-    # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
-    j0 = sub(w0, mul(w1, b1))
-    r = add(mul(w0, j0), mul(mul(w1, w1), b0))
-    if not r:
-        return None
-    ri = F.inv(r)
-    s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
-    s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
+        # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
+        j0 = sub(w0, mul(w1, b1))
+        r = add(mul(w0, j0), mul(mul(w1, w1), b0))
+        if not r:  # w1 != 0, or r = w0^2
+            x0 = mul(F.neg(w0), F.inv(w1))
+            if d1.u != d2.u:
+                return _shared_root(curve, d1, d2, x0)
+            a = sub(F.neg(a1), x0)
+            if a == x0:
+                raise InvalidDivisorError("u has a double root at a Weierstrass point")
+            _on_curve(curve, x0, add(p0, mul(p1, x0)))  # W
+            return _double_point(curve, a, add(p0, mul(p1, a)))
+        ri = F.inv(r)
+        s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
+        s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
 
-    # V = v1 + s u1 and H = V + h; U = u1 m is monic of degree 4
+    # V = v1 + s u1 and H = V + h; U = u1 u2 is monic of degree 4
     V3, V2 = s1, add(s0, mul(s1, a1))
     V1, V0 = add(p1, add(mul(s0, a1), mul(s1, a0))), add(p0, mul(s0, a0))
     H2, H1, H0 = add(V2, h2), add(V1, h1), add(V0, h0)
@@ -234,12 +241,29 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor,
     ki = F.inv(K2)
     e1, e0 = mul(K1, ki), mul(K0, ki)
     g2, g1 = sub(H2, mul(V3, e1)), sub(H1, mul(V3, e0))
-    o1, o0 = sub(mul(g2, e1), g1), sub(mul(g2, e0), H0)
-    return MumfordDivisor((e0, e1, 1), (o0, o1) if o1 else ((o0,) if o0 else ()))
+    return _quadratic_class(e0, e1, sub(mul(g2, e0), H0), sub(mul(g2, e1), g1))
+
+
+def _quotient_mod_u(curve: CurveModel, d: MumfordDivisor) -> tuple[int, int]:
+    """(t0, t1): t = k mod u for the quotient k of f - h v - v^2 (degree 5)
+    by u, deg u = 2; the remainder is left to the caller's final division."""
+    F = curve.field
+    add, sub, mul = F.add, F.sub, F.mul
+    _, h1, h2 = curve.h + (0,) * (3 - len(curve.h))
+    _, _, f2, f3, f4, f5 = curve.f
+    a0, a1, _ = d.u
+    p0, p1 = (d.v + (0, 0))[:2]
+    k3 = f5
+    k2 = sub(f4, mul(k3, a1))
+    k1 = sub(sub(f3, mul(h2, p1)), add(mul(k3, a0), mul(k2, a1)))
+    k0 = sub(sub(f2, add(add(mul(h2, p0), mul(h1, p1)), mul(p1, p1))),
+             add(mul(k2, a0), mul(k1, a1)))
+    c2, c1 = sub(k2, mul(k3, a1)), sub(k1, mul(k3, a0))
+    return sub(k0, mul(c2, a0)), sub(c1, mul(c2, a1))
 
 
 def _point_sum(curve: CurveModel, d1: MumfordDivisor,
-               d2: MumfordDivisor) -> MumfordDivisor | None:
+               d2: MumfordDivisor) -> MumfordDivisor:
     """``_explicit_sum`` on coefficient tuples, for a u1 of degree 1."""
     F = curve.field
     h = curve.h
@@ -248,9 +272,9 @@ def _point_sum(curve: CurveModel, d1: MumfordDivisor,
         w = poly.mod(F, poly.add(F, poly.add(F, v1, d2.v), h), m)
         if not w:
             return IDENTITY
-        if v1 != d2.v:
-            return None
-        t = poly.divmod_(F, _norm(curve, v1), m)[0]  # the remainder is checked below
+        if v1 != d2.v:  # two points over one x that are not opposite
+            raise InvalidDivisorError("a point is not on the curve")
+        t = poly.divmod_(F, _norm(curve, v1), m)[0]  # _sum_tuples checks the remainder
     else:
         w, t = poly.mod(F, u1, m), poly.sub(F, d2.v, v1)
 
@@ -260,11 +284,18 @@ def _point_sum(curve: CurveModel, d1: MumfordDivisor,
     w0, w1 = poly.coefficient(w, 0), poly.coefficient(w, 1)
     m0, m1 = m[0], m[1]
     r = add(sub(mul(mul(w1, w1), m0), mul(mul(w1, w0), m1)), mul(w0, w0))
-    if not r:
-        return None
+    if not r:  # u1 = x - a divides m
+        return _shared_root(curve, d1, d2, F.neg(u1[0]))
     adj = poly.trim((sub(w0, mul(w1, m1)), F.neg(w1)))
     s = poly.scale(F, poly.mod(F, poly.mul(F, t, adj), m), F.inv(r))
+    return _sum_tuples(curve, u1, v1, s, m)
 
+
+def _sum_tuples(curve: CurveModel, u1: tuple[int, ...], v1: tuple[int, ...],
+                s: tuple[int, ...], m: tuple[int, ...]) -> MumfordDivisor:
+    """The composition V = v1 + s u1, U = u1 m of degree 2 or 3, reduced at
+    most once, on coefficient tuples."""
+    F = curve.field
     V = poly.add(F, v1, poly.mul(F, s, u1))
     U = poly.mul(F, u1, m)
     u, rem = poly.divmod_(F, _norm(curve, V), U)
@@ -273,65 +304,110 @@ def _point_sum(curve: CurveModel, d1: MumfordDivisor,
     if len(U) == 3:
         return MumfordDivisor(U, V)
     u = poly.monic(F, u)
-    return MumfordDivisor(u, poly.mod(F, poly.neg(F, poly.add(F, h, V)), u))
+    return MumfordDivisor(u, poly.mod(F, poly.neg(F, poly.add(F, curve.h, V)), u))
 
 
-def _cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
-    """Cantor's group law: compose through the three-term gcd, then reduce
-    to degree <= 2.
+def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
+                 a: int) -> MumfordDivisor:
+    """d1 + d2 for u1 != u2 with the common root a, deg u1 <= deg u2 = 2.
 
-    Coprime u1 and u2 compose by the Chinese remainder theorem alone, v =
-    e1 u1 v2 + e2 u2 v1 with e1 u1 + e2 u2 = 1, so the composition reads
-    both v1 and v2; otherwise the gcd d0 of u1 and u2 meets v1 + v2 + h
-    in a second extended gcd.  Each reduction step divides f - h v - v^2
-    by u exactly, which checks the inputs; a composition of degree <= 2
-    takes no step, so u | f - h v - v^2 is checked on it directly, and
-    either failure raises InvalidDivisorError.  A class plus its formal
-    negative (equal u, v1 + v2 + h = 0 mod u) composes to u = 1, which
-    passes unchecked when s = v1 + v2 + h is 0 or has degree above deg u:
-    (x, 0) + (x, 0) when h(0) = 0 and deg h = 2.  When s is a constant
-    multiple of u, the cofactor of s in gcd(u, s) is nonzero, so the
-    composition divides v1 v2 + f by u, which checks u | f - h v1 - v1^2:
-    the off-curve (x, 0) doubles to InvalidDivisorError when h = x, and so
-    does (x^2, x) on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2, which
-    ``cantor_add`` doubles to the identity.  ``check_divisor`` validates
-    inputs.
+    The classes hold points (a, y1) and (a, y2), and u2 has the other root
+    b2 = -u2_1 - a (u1 likewise b1).  Opposite points cancel: the sum is
+    the line through (b1, v1(b1)) and (b2, v2(b2)), or the point
+    (b2, v2(b2)) when u1 = x - a; each point read, and the slope of a
+    class with a double root at a, is checked on the curve.  The same
+    point P twice takes one composition V = v1 + s u1, u1 the operand with
+    the higher multiplicity at a: s(a) = k1(a) / (2y + h(a)) lifts it to
+    second order at a (the double's s) and s(b2) = (v2 - v1)(b2) / u1(b2)
+    passes it through v2 (the add's s); for a point plus a class, s is the
+    constant lift of the class.  The division by U = u1 u2 checks both.
     """
     F = curve.field
-    h, f = curve.h, curve.f
-    u1, v1 = d1.u, d1.v
-    u2, v2 = d2.u, d2.v
+    add, sub, mul, neg, inv, at = F.add, F.sub, F.mul, F.neg, F.inv, F.values
+    (y1,), (y2,) = at(d1.v, (a,)), at(d2.v, (a,))
+    c = add(add(y1, y1), _on_curve(curve, a, y1))
+    b2 = sub(neg(d2.u[1]), a)
+    if y2 == sub(y1, c):  # y2 = -y1 - h(a)
+        z2 = _remaining_point(curve, d2, a, b2, y2)
+        if len(d1.u) == 2:
+            return MumfordDivisor((neg(b2), 1), (z2,) if z2 else ())
+        b1 = sub(neg(d1.u[1]), a)
+        z1 = _remaining_point(curve, d1, a, b1, y1)
+        slope = mul(sub(z1, z2), inv(sub(b1, b2)))  # b1 != b2, as u1 != u2
+        return _quadratic_class(mul(b1, b2), neg(add(b1, b2)), sub(z1, mul(slope, b1)), slope)
+    if y2 != y1:
+        raise InvalidDivisorError("a point over a common root of u1 and u2 is off the curve")
+    if len(d1.u) == 2 or b2 == a:  # u1 takes the higher multiplicity at a
+        d1, d2 = d2, d1
+    t0, t1 = _quotient_mod_u(curve, d1)
+    sa = mul(add(t0, mul(t1, a)), inv(c))
+    if len(d2.u) == 2:  # U = u1 (x - a)
+        return _sum_tuples(curve, d1.u, d1.v, (sa,) if sa else (), d2.u)
+    b2 = sub(neg(d2.u[1]), a)
+    v2b, v1b, u1b = (at(g, (b2,))[0] for g in (d2.v, d1.v, d1.u))
+    s1 = mul(sub(mul(sub(v2b, v1b), inv(u1b)), sa), inv(sub(b2, a)))
+    return _explicit_sum(curve, d1, d2, (sub(sa, mul(s1, a)), s1))
 
-    d0, e1, e2 = poly.ext_gcd(F, u1, u2)
-    if d0 == (1,):
-        d, s1, s2, s3 = d0, e1, e2, ()
-    else:
-        s = poly.add(F, poly.add(F, v1, v2), h)
-        d, c1, c2 = poly.ext_gcd(F, d0, s)
-        s1 = poly.mul(F, c1, e1)
-        s2 = poly.mul(F, c1, e2)
-        s3 = c2
 
-    try:
-        u = poly.exact_div(F, poly.mul(F, u1, u2), poly.mul(F, d, d))
-        num = poly.add(
-            F,
-            poly.add(F, poly.mul(F, poly.mul(F, s1, u1), v2),
-                     poly.mul(F, poly.mul(F, s2, u2), v1)),
-            poly.mul(F, s3, poly.add(F, poly.mul(F, v1, v2), f)),
-        )
-        v = poly.mod(F, poly.exact_div(F, num, d), u)
-        if poly.degree(u) <= 2 and poly.mod(F, _norm(curve, v), u):
-            raise InvalidDivisorError("u does not divide f - h v - v^2")
-        while poly.degree(u) > 2:
-            u_next = poly.exact_div(F, _norm(curve, v), u)
-            v = poly.mod(F, poly.neg(F, poly.add(F, h, v)), u_next)
-            u = u_next
-        u = poly.monic(F, u)
-        v = poly.mod(F, v, u)
-    except ValueError as exc:  # an inexact division means a bad input divisor
-        raise InvalidDivisorError(str(exc)) from exc
-    return MumfordDivisor(u, v)
+def _remaining_point(curve: CurveModel, d: MumfordDivisor, a: int, b: int, y: int) -> int:
+    """v(b) for a class d with u = (x - a)(x - b) and its point (a, y) on
+    the curve, once the rest of d is checked: the point (b, v(b)) on the
+    curve when b != a, and d the tangent class 2(a, y) when b == a."""
+    z = curve.field.values(d.v, (b,))[0]
+    if b != a:
+        _on_curve(curve, b, z)
+    elif d != _double_point(curve, a, y):
+        raise InvalidDivisorError("v does not follow the curve to second order at a double root of u")
+    return z
+
+
+def _split_double(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
+    """d1 + d2 for equal u and v1 != v2 that are not negatives.
+
+    Valid classes of that shape share one point P at the simple root a of
+    u where v1 - v2 vanishes, and hold opposite points at the other root
+    b, so the sum is the tangent at P.  Any other shape, or a point read
+    off the curve, raises InvalidDivisorError.
+    """
+    F = curve.field
+    sub = F.sub
+    (p0, p1), (q0, q1) = (d1.v + (0, 0))[:2], (d2.v + (0, 0))[:2]
+    if p1 == q1:
+        raise InvalidDivisorError("v1 and v2 differ at both roots of u but are not negatives")
+    a = F.mul(sub(q0, p0), F.inv(sub(p1, q1)))
+    b = sub(F.neg(d1.u[1]), a)
+    if a == b or F.values(d1.u, (a,))[0]:
+        raise InvalidDivisorError("v1 - v2 does not vanish at a simple root of u")
+    for z in F.values(d1.v, (b,)) + F.values(d2.v, (b,)):
+        _on_curve(curve, b, z)
+    return _double_point(curve, a, F.values(d1.v, (a,))[0])
+
+
+def _double_point(curve: CurveModel, a: int, y: int) -> MumfordDivisor:
+    """2P for P = (a, y) on the curve, the enumeration's double-root lift:
+    u = (x - a)^2, v = y + l (x - a) with (2y + h(a)) l = f'(a) - h'(a) y;
+    the identity at a Weierstrass point, where 2y + h(a) = 0."""
+    F = curve.field
+    c = F.add(F.add(y, y), _on_curve(curve, a, y))
+    if not c:
+        return IDENTITY
+    (dh,), (df,) = (F.values(poly.derivative(F, g), (a,)) for g in (curve.h, curve.f))
+    slope = F.mul(F.sub(df, F.mul(dh, y)), F.inv(c))
+    return _quadratic_class(F.mul(a, a), F.neg(F.add(a, a)), F.sub(y, F.mul(slope, a)), slope)
+
+
+def _on_curve(curve: CurveModel, x: int, y: int) -> int:
+    """h(x), once y^2 + h(x) y = f(x) is checked; InvalidDivisorError if not."""
+    F = curve.field
+    (hx,), (fx,) = F.values(curve.h, (x,)), F.values(curve.f, (x,))
+    if F.add(F.mul(y, y), F.mul(hx, y)) != fx:
+        raise InvalidDivisorError(f"({x}, {y}) is not a point of the curve")
+    return hx
+
+
+def _quadratic_class(u0: int, u1: int, v0: int, v1: int) -> MumfordDivisor:
+    """The class (x^2 + u1 x + u0, v0 + v1 x), v trimmed."""
+    return MumfordDivisor((u0, u1, 1), (v0, v1) if v1 else ((v0,) if v0 else ()))
 
 
 def negate(curve: CurveModel, d: MumfordDivisor) -> MumfordDivisor:
@@ -363,33 +439,44 @@ def in_theta(d: MumfordDivisor) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _quadratic_tables(field: FiniteField) -> tuple[tuple, tuple, tuple]:
-    """The curve-free tables of ``_reduced_divisors`` over F_q: (us, vs, pairs).
+def _quadratic_tables(field: FiniteField) -> tuple[tuple, tuple, tuple, tuple]:
+    """The curve-free tables of ``_reduced_divisors`` over F_q: (us, vs,
+    pairs, coords).
 
     ``us[u0 q + u1]`` is the u tuple (u0, u1, 1) and ``vs[v0 q + v1]`` the
     trimmed v tuple of v0 + v1 x, so a degree-2 class keyed
     (u0 q + u1) q^2 + v0 q + v1 decodes, by quotient and remainder mod q^2,
-    into two lookups.  ``pairs`` holds, for each x of ``frobenius_pairs``
-    in F_{q^2}, (log x, q^2 times the key of u = (X - x)(X - x^q),
-    log 1/(x - x^q)), with the norm and trace of x mapped back to F_q as
-    u0 and -u1.  Built by the first enumeration over a field and kept for
-    64 fields, the bound of the embedding cache.
+    into two lookups.  F_{q^2} has the F_q-basis (1, t), t the first x of
+    ``frobenius_pairs``, and ``coords[y]`` holds (c0, log c1) for
+    y = c0 + c1 t.  ``pairs`` holds, for each x = a0 + a1 t of
+    ``frobenius_pairs``, (q^2 times the key of u = (X - x)(X - x^q),
+    log 1/a1, log a0/a1), with the norm and trace of x mapped back to F_q
+    as u0 and -u1; logs are those of F_q.  Built by the first enumeration
+    over a field and kept for 64 fields, the bound of the embedding cache.
     """
     q = field.q
+    log, exp2, mul = field.log, field.exp2, field.mul
     emb = extend_field(field, 2, allow_large=True)
-    E, back = emb.ext, emb.preimage
+    E, back, image = emb.ext, emb.preimage, emb.image
     elog, eexp2, en = E.log, E.exp2, E.q - 1
     us = tuple((u0, u1, 1) for u0 in range(q) for u1 in range(q))
     vs = tuple((v0, v1) if v1 else ((v0,) if v0 else ())
                for v0 in range(q) for v1 in range(q))
+    t = emb.frobenius_pairs[0]
+    coords = [None] * E.q
+    for c1 in range(q):
+        c1t = E.mul(image[c1], t)
+        for c0 in range(q):
+            coords[E.add(image[c0], c1t)] = (c0, log[c1])
     pairs = []
     for x in emb.frobenius_pairs:
         lx = elog[x]
         lxq = lx * q % en
-        xq = eexp2[lxq]
-        u = back[eexp2[lx + lxq]] * q + back[E.neg(E.add(x, xq))]
-        pairs.append((lx, u * q * q, en - elog[E.sub(x, xq)]))
-    return us, vs, tuple(pairs)
+        u = back[eexp2[lx + lxq]] * q + back[E.neg(E.add(x, eexp2[lxq]))]
+        a0, la1 = coords[x]  # a1 != 0, as x is not in F_q
+        ia1 = exp2[q - 1 - la1]
+        pairs.append((u * q * q, log[ia1], log[mul(a0, ia1)]))
+    return us, vs, tuple(pairs), tuple(coords)
 
 
 def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
@@ -405,8 +492,8 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     of the trimmed coefficient tuples since trimming v only drops trailing
     zeros: both lists sort with no key function.  Each key decodes into the
     shared u and v tuples of ``_quadratic_tables``, which also holds the
-    curve-free data of each Frobenius pair.  Products and quotients run on
-    the log tables of F_q and F_{q^2}.
+    F_q coordinates of F_{q^2} and the curve-free data of each Frobenius
+    pair.  Products and quotients run on the log tables of F_q and F_{q^2}.
     """
     F = curve.field
     q, n, q2 = F.q, F.q - 1, F.q * F.q
@@ -414,7 +501,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     log, exp2 = F.log, F.exp2
     add, sub, neg = F.add, F.sub, F.neg
     solve = F.quadratic_roots
-    us, vs, frobenius = _quadratic_tables(F)
+    us, vs, frobenius, coords = _quadratic_tables(F)
 
     # u = x - a: v is a root y over a
     hs, fs = F.values(h, F.elements()), F.values(f, F.elements())
@@ -453,23 +540,20 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
             for v1 in lifts:
                 keys.append(u + sub(y, mul(v1, a)) * q + v1)
 
-    # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
-    # (the pair list point counting uses); v is the F_q-line through (x, y)
-    # and (x^q, y^q), v1 = (y - y^q) / (x - x^q) and v0 = y - v1 x.  log x,
-    # the key of u and log 1/(x - x^q) come from the per-field table.
+    # u irreducible: one root x = a0 + a1 t of u in F_{q^2} per Frobenius
+    # pair {x, x^q} (the pair list point counting uses); v is the F_q-line
+    # through (x, y) and (x^q, y^q), so y = c0 + c1 t gives v1 = c1 / a1 and
+    # v0 = c0 - c1 a0 / a1.  The key of u, log 1/a1, log a0/a1 and each
+    # (c0, log c1) come from the per-field table.
     emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
-    back = emb.preimage
-    elog, eexp2, en = E.log, E.exp2, E.q - 1
-    esub = E.sub
-    esolve = E.quadratic_roots
     xs = emb.frobenius_pairs
-    for (lx, u, lw), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
+    esolve = E.quadratic_roots
+    for (u, l1, l0), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
                                    E.values(emb.map_poly(f), xs)):
         for y in esolve(hx, fx):
-            d = esub(y, eexp2[elog[y] * q % en]) if y else 0  # y^q: an index mod en needs y != 0
-            v1 = eexp2[elog[d] + lw]
-            keys.append(u + back[esub(y, eexp2[elog[v1] + lx])] * q + back[v1])
+            c0, lc1 = coords[y]
+            keys.append(u + sub(c0, exp2[lc1 + l0]) * q + exp2[lc1 + l1])
 
     points.sort()
     keys.sort()
@@ -527,28 +611,25 @@ def zero_sum_tuples(curve: CurveModel, r: int, limit: int | None = None,
     The first r-1 entries run lexicographically over the sorted group (so
     the all-identity tuple comes first) and the last entry is determined;
     ``stride`` keeps every stride-th tuple of that order, ``limit`` caps
-    how many are yielded.
+    how many are yielded.  ValueError unless r, stride and limit are ints
+    with r >= 2, stride >= 1 and limit None or >= 0.
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    group = enumerate_jacobian(curve)
-    yielded = 0
-    index = 0
-    total = len(group) ** (r - 1)
-    while index < total and (limit is None or yielded < limit):
-        rest = index
-        picks = []
-        for _ in range(r - 1):
-            rest, i = divmod(rest, len(group))
-            picks.append(group[i])
-        picks.reverse()  # lexicographic: leftmost entry moves slowest
+    if type(r) is not int or r < 2:
+        raise ValueError(f"need an int r >= 2, got {r!r}")
+    if type(stride) is not int or stride < 1:
+        raise ValueError(f"need an int stride >= 1, got {stride!r}")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError(f"need limit None or an int >= 0, got {limit!r}")
+
+    def close(picks: tuple[MumfordDivisor, ...]) -> tuple[MumfordDivisor, ...]:
         acc = IDENTITY
         for d in picks:
             acc = cantor_add(curve, acc, d)
-        picks.append(negate(curve, acc))
-        yield tuple(picks)
-        yielded += 1
-        index += stride
+        return (*picks, negate(curve, acc))
+
+    # product runs lexicographically: the leftmost entry moves slowest
+    picks = product(enumerate_jacobian(curve), repeat=r - 1)
+    return map(close, islice(islice(picks, 0, None, stride), limit))
 
 
 class TranslateExperiment(NamedTuple):

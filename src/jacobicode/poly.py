@@ -109,13 +109,6 @@ def mod(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> Poly:
     return divmod_(F, a, b)[1]
 
 
-def exact_div(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> Poly:
-    q, r = divmod_(F, a, b)
-    if r:
-        raise ValueError("division was expected to be exact")
-    return q
-
-
 def monic(F: FiniteField, a: Sequence[int]) -> Poly:
     a = trim(a)
     if not a or a[-1] == 1:

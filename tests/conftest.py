@@ -13,6 +13,7 @@ from typing import Iterator
 
 import pytest
 
+from jacobicode import poly
 from jacobicode.curves import CurveModel, validate_curve
 from jacobicode.explore import SearchSpace, _curves, _unique
 from jacobicode.fields import field_from_order, make_field
@@ -27,6 +28,14 @@ def evaluate(F, a, x):
     for c in reversed(a):
         acc = F.add(F.mul(acc, x), c)
     return acc
+
+
+def exact_div(F, a, b):
+    """a / b, ValueError on a remainder: the division of Cantor's oracle."""
+    q, r = poly.divmod_(F, a, b)
+    if r:
+        raise ValueError("division was expected to be exact")
+    return q
 
 
 @pytest.fixture(scope="session")

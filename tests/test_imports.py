@@ -83,6 +83,16 @@ def test_every_export_is_read_outside_the_tests():
     assert [name for name in exports if name not in read] == []
 
 
+def test_cantor_stays_in_the_tests():
+    # Cantor's algorithm is the tests' oracle for the closed-form group law;
+    # no library path composes through an extended gcd or an exact division
+    for path in LIBRARY + [PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_cantor" not in defined, path.name
+        assert not {"ext_gcd", "exact_div"} & loaded_names(path.read_text()), path.name
+
+
 def test_import_leaves_out_dataclasses():
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
     # 0.9 MB of allocations in every process that imports the package

@@ -24,7 +24,7 @@ from jacobicode.fields import field_from_order, make_field
 from jacobicode.mumford import (
     IDENTITY,
     MumfordDivisor,
-    _cantor,
+    _norm,
     _reduced_divisors,
     cantor_add,
     check_divisor,
@@ -37,7 +37,7 @@ from jacobicode.mumford import (
     zero_sum_tuples,
 )
 from jacobicode.weil import jacobian_order, weil_from_counts
-from conftest import enumerate_curves, evaluate
+from conftest import enumerate_curves, evaluate, exact_div
 from test_curves import INFINITY, CurvePoint, curve_points
 
 D_X0 = MumfordDivisor((0, 1), ())     # (x, 0)
@@ -118,6 +118,63 @@ def solved_jacobian(curve: CurveModel) -> tuple[MumfordDivisor, ...]:
     return tuple(_reduced_divisors(curve))
 
 
+def cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
+    """Cantor's group law (Math. Comp. 48, 1987), the oracle of ``cantor_add``:
+    compose through the three-term gcd, then reduce to degree <= 2.
+
+    Coprime u1 and u2 compose by the Chinese remainder theorem alone, v =
+    e1 u1 v2 + e2 u2 v1 with e1 u1 + e2 u2 = 1, so the composition reads
+    both v1 and v2; otherwise the gcd d0 of u1 and u2 meets v1 + v2 + h
+    in a second extended gcd.  Each reduction step divides f - h v - v^2
+    by u exactly, which checks the inputs; a composition of degree <= 2
+    takes no step, so u | f - h v - v^2 is checked on it directly, and
+    either failure raises InvalidDivisorError.  A class plus its formal
+    negative (equal u, v1 + v2 + h = 0 mod u) composes to u = 1, which
+    passes unchecked when s = v1 + v2 + h is 0 or has degree above deg u:
+    (x, 0) + (x, 0) when h(0) = 0 and deg h = 2.  When s is a constant
+    multiple of u, the cofactor of s in gcd(u, s) is nonzero, so the
+    composition divides v1 v2 + f by u, which checks u | f - h v1 - v1^2:
+    the off-curve (x, 0) doubles to InvalidDivisorError when h = x, and so
+    does (x^2, x) on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2, which
+    ``cantor_add`` doubles to the identity.
+    """
+    F = curve.field
+    h, f = curve.h, curve.f
+    u1, v1 = d1.u, d1.v
+    u2, v2 = d2.u, d2.v
+
+    d0, e1, e2 = poly.ext_gcd(F, u1, u2)
+    if d0 == (1,):
+        d, s1, s2, s3 = d0, e1, e2, ()
+    else:
+        s = poly.add(F, poly.add(F, v1, v2), h)
+        d, c1, c2 = poly.ext_gcd(F, d0, s)
+        s1 = poly.mul(F, c1, e1)
+        s2 = poly.mul(F, c1, e2)
+        s3 = c2
+
+    try:
+        u = exact_div(F, poly.mul(F, u1, u2), poly.mul(F, d, d))
+        num = poly.add(
+            F,
+            poly.add(F, poly.mul(F, poly.mul(F, s1, u1), v2),
+                     poly.mul(F, poly.mul(F, s2, u2), v1)),
+            poly.mul(F, s3, poly.add(F, poly.mul(F, v1, v2), f)),
+        )
+        v = poly.mod(F, exact_div(F, num, d), u)
+        if poly.degree(u) <= 2 and poly.mod(F, _norm(curve, v), u):
+            raise InvalidDivisorError("u does not divide f - h v - v^2")
+        while poly.degree(u) > 2:
+            u_next = exact_div(F, _norm(curve, v), u)
+            v = poly.mod(F, poly.neg(F, poly.add(F, h, v)), u_next)
+            u = u_next
+        u = poly.monic(F, u)
+        v = poly.mod(F, v, u)
+    except ValueError as exc:  # an inexact division means a bad input divisor
+        raise InvalidDivisorError(str(exc)) from exc
+    return MumfordDivisor(u, v)
+
+
 def seeded_curves(q: int, count: int, seed: int, modulus=None) -> list[CurveModel]:
     space = SearchSpace(field=field_from_order(q, modulus), mode=RANDOM, seed=seed,
                         trials=20 * count)
@@ -176,7 +233,7 @@ class TestGroupLaw:
         deg2 = [d for d in enumerate_jacobian(curve_e2) if d.degree == 2]
         pairs = [(bad, bad)] + [p for d in deg2 for p in ((bad, d), (d, bad))]
         assert len(pairs) == 17
-        for add in (cantor_add, _cantor):
+        for add in (cantor_add, cantor):
             for d1, d2 in pairs:
                 with pytest.raises(InvalidDivisorError):
                     add(curve_e2, d1, d2)
@@ -188,7 +245,7 @@ class TestGroupLaw:
         curve = validate_curve(make_field(3, 1), (), (0, 1, 0, 0, 0, 1))
         bad, d = MumfordDivisor((0, 1), (1,)), MumfordDivisor((2, 2, 1), ())
         check_divisor(curve, d)
-        for add in (cantor_add, _cantor):
+        for add in (cantor_add, cantor):
             for d1, d2 in ((bad, d), (d, bad)):
                 with pytest.raises(InvalidDivisorError):
                     add(curve, d1, d2)
@@ -204,7 +261,7 @@ class TestGroupLaw:
             check_divisor(curve, bad)
         assert cantor_add(curve, bad, bad) == IDENTITY
         with pytest.raises(InvalidDivisorError):
-            _cantor(curve, bad, bad)
+            cantor(curve, bad, bad)
 
     def test_invalid_divisor_rejected(self, curve_e2):
         with pytest.raises(InvalidDivisorError):
@@ -232,30 +289,45 @@ class TestGroupLaw:
                 check_divisor(curve, bad)
 
 
+SHARED_ROOT_CASES = ("weierstrass double", "split double", "opposite at a shared root",
+                     "same point at a shared root")
 BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum", "point plus class",
-            "cantor"}
+            *SHARED_ROOT_CASES}
 # by characteristic 2 or odd, up to JACOBIAN_Q_CAP = 64 and the largest odd prime below it
 SAMPLED_QS = {True: (8, 16, 32, 64), False: (7, 9, 25, 27, 61)}
 SAMPLED_PAIRS = 150
 
 
-def needs_cantor(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> bool:
-    """Whether the explicit formulas leave the sum of two valid classes to Cantor:
-    u with a common root, or equal u that are neither inverse nor a double
-    with u prime to 2v + h."""
+def shared_root_case(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> str | None:
+    """The closed form a pair takes where the coprime formulas do not apply,
+    None where they do: a double whose u shares a root with 2v + h (a
+    Weierstrass point); equal u with v1 != v2 that are not negatives; and
+    distinct u with a common root a, by whether the points over a are
+    opposite (y1 + y2 + h(a) = 0) or not."""
     F = curve.field
     if IDENTITY in (d1, d2):
-        return False
+        return None
     if d1.u == d2.u:
         w = poly.mod(F, poly.add(F, poly.add(F, d1.v, d2.v), curve.h), d1.u)
-        return bool(w) and (d1.v != d2.v or poly.degree(poly.gcd(F, d1.u, w)) > 0)
-    return poly.degree(poly.gcd(F, d1.u, d2.u)) > 0
+        if not w:
+            return None
+        if d1.v != d2.v:
+            return "split double"
+        return "weierstrass double" if poly.degree(poly.gcd(F, d1.u, w)) > 0 else None
+    g = poly.gcd(F, d1.u, d2.u)
+    if poly.degree(g) == 0:
+        return None
+    a = F.neg(g[0])
+    y1, y2, ha = (evaluate(F, c, a) for c in (d1.v, d2.v, curve.h))
+    opposite = F.add(F.add(y1, y2), ha) == 0
+    return "opposite at a shared root" if opposite else "same point at a shared root"
 
 
-def branch(d1: MumfordDivisor, d2: MumfordDivisor, out: MumfordDivisor,
-           fell_back: bool) -> str:
-    if fell_back:
-        return "cantor"
+def branch(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
+           out: MumfordDivisor) -> str:
+    case = shared_root_case(curve, d1, d2)
+    if case:
+        return case
     if IDENTITY in (d1, d2):
         return "identity"
     if out == IDENTITY:
@@ -278,6 +350,47 @@ def draw_bad_class(rng: Random, q: int, deg: int, group: set) -> MumfordDivisor 
     return None
 
 
+def through(F, p1: tuple[int, int], p2: tuple[int, int]) -> MumfordDivisor:
+    """The (u, v) of degree 2 whose v is the line through two points with
+    distinct x, on the curve or not."""
+    (x1, y1), (x2, y2) = p1, p2
+    slope = F.mul(F.sub(y1, y2), F.inv(F.sub(x1, x2)))
+    return MumfordDivisor((F.mul(x1, x2), F.neg(F.add(x1, x2)), 1),
+                          poly.trim((F.sub(y1, F.mul(slope, x1)), slope)))
+
+
+def off_curve_pairs(curve: CurveModel) -> dict[str, tuple[MumfordDivisor, MumfordDivisor]]:
+    """A pair for each closed form of a shared root, and for two points over
+    one x, with one point off the curve, where the curve has the points to
+    build it from P = (a, y), not a Weierstrass point, and Q = (b, z), b != a."""
+    F = curve.field
+    on = [(pt.x, pt.y) for pt in curve_points(curve, 1) if not pt.at_infinity]
+    hs = {x: evaluate(F, curve.h, x) for x in F.elements()}
+    offs = {x: [y for y in F.elements() if (x, y) not in on] for x in F.elements()}
+    pairs = {}
+    for (a, y), (b, z) in itertools.permutations(on, 2):
+        if a == b or F.add(F.add(y, y), hs[a]) == 0:
+            continue
+        P, Q, minus_p = (a, y), (b, z), (a, F.sub(F.neg(y), hs[a]))
+        for c in F.elements():
+            for yc in offs[c][:1] if c not in (a, b) else ():
+                pairs.setdefault("opposite at a shared root",
+                                 (through(F, minus_p, (c, yc)), through(F, P, Q)))
+                pairs.setdefault("same point at a shared root",
+                                 (through(F, P, (c, yc)), through(F, P, Q)))
+        for yb in offs[b][:1]:
+            pairs.setdefault("split double", (through(F, P, Q), through(F, P, (b, yb))))
+        for ya in offs[a][:1]:
+            pairs.setdefault("points over one x", (MumfordDivisor((F.neg(a), 1), poly.trim((y,))),
+                                                   MumfordDivisor((F.neg(a), 1), poly.trim((ya,)))))
+        for w in F.elements():  # 2 yw + h(w) = 0 with (w, yw) off the curve
+            for yw in offs[w] if w != a else ():
+                if F.add(F.add(yw, yw), hs[w]) == 0:
+                    d = through(F, P, (w, yw))
+                    pairs.setdefault("weierstrass double", (d, d))
+    return pairs
+
+
 def checked_sum(add, curve: CurveModel, d1: MumfordDivisor,
                 d2: MumfordDivisor) -> MumfordDivisor | None:
     """d1 + d2 under a group law, None when the law rejects the pair; a
@@ -291,30 +404,21 @@ def checked_sum(add, curve: CurveModel, d1: MumfordDivisor,
 
 
 class TestExplicitFormulas:
-    """cantor_add against Cantor's algorithm, with the branch of every call."""
+    """cantor_add against Cantor's algorithm, with the branch of every pair."""
 
     @pytest.mark.parametrize("even", [True, False], ids=["char2", "odd"])
-    def test_equal_to_cantor(self, even, corpus, monkeypatch):
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args)
-            return _cantor(*args)
-
-        monkeypatch.setattr(mumford, "_cantor", counted)
+    def test_equal_to_cantor(self, even, corpus):
         rng = Random(even)
         taken = Counter()
 
         def check(curve, d1, d2):
-            fallbacks.clear()
             out = cantor_add(curve, d1, d2)
-            assert out == _cantor(curve, d1, d2), (curve, d1, d2)
-            assert bool(fallbacks) == needs_cantor(curve, d1, d2), (curve, d1, d2)
-            taken[branch(d1, d2, out, bool(fallbacks))] += 1
+            assert out == cantor(curve, d1, d2), (curve, d1, d2)
+            taken[branch(curve, d1, d2, out)] += 1
 
         def check_invalid(curve, group):
             # a class of each degree outside the group, where one exists:
-            # whatever _cantor rejects is rejected, and neither law returns an
+            # whatever cantor rejects is rejected, and neither law returns an
             # invalid class (the identity returns the other operand unchecked,
             # and a class plus its formal negative is the identity); a bad
             # degree-2 class is also doubled, which only the final division
@@ -327,7 +431,7 @@ class TestExplicitFormulas:
                 if deg == 2 and negate(curve, bad) != bad:
                     pairs.append((bad, bad))
                 for d1, d2 in pairs:
-                    rejected = checked_sum(_cantor, curve, d1, d2) is None
+                    rejected = checked_sum(cantor, curve, d1, d2) is None
                     if checked_sum(cantor_add, curve, d1, d2) is not None:
                         assert not rejected, (curve, d1, d2)
 
@@ -349,6 +453,25 @@ class TestExplicitFormulas:
                     check(curve, d1, d1)
                 check_invalid(curve, set(group))
         assert set(taken) == BRANCHES, taken
+
+
+    @pytest.mark.parametrize("qs", [(2, 4), (3, 5)], ids=["char2", "odd"])
+    def test_closed_forms_reject_an_off_curve_point(self, qs, corpus):
+        # the first bad pair of each closed form over the corpus: each reads
+        # a point off the curve, which the forms check in place of the
+        # exact division they skip
+        found = set()
+        for curve in (curve for q in qs for curve in corpus[q]):
+            for case, (d1, d2) in off_curve_pairs(curve).items():
+                if case in found:
+                    continue
+                found.add(case)
+                if case != "points over one x":
+                    assert shared_root_case(curve, d1, d2) == case
+                for pair in ((d1, d2), (d2, d1)):
+                    with pytest.raises(InvalidDivisorError):
+                        cantor_add(curve, *pair)
+        assert found == {*SHARED_ROOT_CASES, "points over one x"}
 
 
 def assert_sorted_and_unique(group: tuple[MumfordDivisor, ...]) -> None:
@@ -457,8 +580,8 @@ class TestScanOracle:
             assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
         default, supplied = field_from_order(q), field_from_order(q, modulus)
         assert default != supplied
-        _, _, default_pairs = mumford._quadratic_tables(default)
-        _, _, supplied_pairs = mumford._quadratic_tables(supplied)
+        default_pairs = mumford._quadratic_tables(default)[2]
+        supplied_pairs = mumford._quadratic_tables(supplied)[2]
         assert default_pairs != supplied_pairs
 
     def test_unvalidated_models(self, f2):
@@ -564,6 +687,23 @@ class TestZeroSumTuples:
         s = negate(curve_e2, cantor_add(curve_e2, p, q_))
         acc = cantor_add(curve_e2, cantor_add(curve_e2, p, q_), s)
         assert acc == IDENTITY
+
+
+    def test_stride_and_limit(self, curve_e2):
+        every = list(zero_sum_tuples(curve_e2, 3))
+        group = enumerate_jacobian(curve_e2)
+        assert [tup[:2] for tup in every] == list(itertools.product(group, repeat=2))
+        assert list(zero_sum_tuples(curve_e2, 3, limit=5, stride=7)) == every[::7][:5]
+        assert list(zero_sum_tuples(curve_e2, 3, limit=0)) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r": 1}, {"r": 2.0}, {"r": True}, {"r": 2, "stride": 0}, {"r": 2, "stride": -1},
+        {"r": 2, "stride": 1.0}, {"r": 2, "limit": -1}, {"r": 2, "limit": 2.0}])
+    def test_bad_arguments_raise(self, curve_e2, kwargs):
+        # stride 0 once repeated the first tuple forever, stride -1 never
+        # ended, and limit -1 yielded nothing
+        with pytest.raises(ValueError):
+            zero_sum_tuples(curve_e2, **kwargs)
 
 
 class TestTranslateExperiments:
