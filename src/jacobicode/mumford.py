@@ -22,12 +22,10 @@ int key whose digits base q are (u0, u1, v0, v1), so both sort in the
 wire order with no key function; each key is then wrapped, by one
 quotient and remainder mod q^2, as a MumfordDivisor record (a NamedTuple
 of the coefficient tuples u and v) over u and v tuples shared per field.
-That per-field table, ``_quadratic_tables``, also keeps the F_q
-coordinates of F_{q^2} in a basis (1, t) and what each Frobenius pair
-contributes whatever the curve (the key of its u and two logs), so a
-point over F_{q^2} gives its line by two log products over F_q; it is
-built by the first enumeration over a field and bounded like the
-embedding cache.  The resulting cardinality
+That per-field table, ``_quadratic_tables``, also keeps what each
+Frobenius pair contributes whatever the curve (log x, the key of its u,
+log 1/(x - x^q)); it is built by the first enumeration over a field and
+bounded like the embedding cache.  The resulting cardinality
 is cross-checked against the order predicted by the Weil polynomial -- a
 mismatch raises the OrderMismatch tripwire, it can only mean an
 implementation bug or a corrupt model.
@@ -40,7 +38,7 @@ identity.  The image is the theta set, the degree <= 1 classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
@@ -138,8 +136,7 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
     return _explicit_sum(curve, d1, d2)
 
 
-def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
-                  s: tuple[int, int] | None = None) -> MumfordDivisor:
+def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     """d1 + d2, deg u1 <= deg u2: one composition, at most one reduction step.
 
     The identity when u1 == u2 and v1 + v2 + h = 0 mod u.  Otherwise V
@@ -159,12 +156,12 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
     tangent at P.  Equal u with unrelated v go to ``_split_double``.
 
     Two degree-2 operands run straight-line on scalars, with the field's
-    add, sub, mul and inv only and one body for every field; the division
-    by U keeps its remainder check, which is the only validity check of a
-    double.  A given s = (s0, s1) skips to that body: ``_shared_root``
-    passes the s of a composition lifted at a shared root.  An operand of
-    degree 1 (a point plus a class, two points) runs the same steps on
-    coefficient tuples, ``_point_sum`` and ``_sum_tuples``.  A
+    add, sub, mul and inv only and one body for every field; the
+    composition and reduction from s on is ``_sum_scalars``, whose
+    division by U keeps its remainder check, the only validity check of a
+    double.  An operand of degree 1 (a point plus a class, two points)
+    runs the same steps on coefficient tuples, ``_point_sum`` and
+    ``_sum_tuples``.  A
     straight-line version of those waits on a benchmark whose peak memory
     does not grow with its op count (ROADMAP item 2).
     """
@@ -172,43 +169,53 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
         return _point_sum(curve, d1, d2)
     F = curve.field
     add, sub, mul = F.add, F.sub, F.mul
+    h0, h1, h2 = curve.h + (0,) * (3 - len(curve.h))
+    a0, a1, _ = d1.u
+    b0, b1, _ = d2.u
+    p0, p1 = (d1.v + (0, 0))[:2]
+    q0, q1 = (d2.v + (0, 0))[:2]
+    if d1.u == d2.u:
+        # w = (v1 + v2 + h) mod u
+        w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
+        w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
+        if not (w0 or w1):
+            return IDENTITY
+        if d1.v != d2.v:
+            return _split_double(curve, d1, d2)
+        t0, t1 = _quotient_mod_u(curve, d1)  # t = k mod u
+    else:
+        w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
+        t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
+
+    # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
+    j0 = sub(w0, mul(w1, b1))
+    r = add(mul(w0, j0), mul(mul(w1, w1), b0))
+    if not r:  # w1 != 0, or r = w0^2
+        x0 = mul(F.neg(w0), F.inv(w1))
+        if d1.u != d2.u:
+            return _shared_root(curve, d1, d2, x0)
+        a = sub(F.neg(a1), x0)
+        if a == x0:
+            raise InvalidDivisorError("u has a double root at a Weierstrass point")
+        _on_curve(curve, x0, add(p0, mul(p1, x0)))  # W
+        return _double_point(curve, a, add(p0, mul(p1, a)))
+    ri = F.inv(r)
+    s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
+    s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
+    return _sum_scalars(curve, d1, d2, s0, s1)
+
+
+def _sum_scalars(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
+                 s0: int, s1: int) -> MumfordDivisor:
+    """The composition V = v1 + s u1, U = u1 u2 of degree 4, s = s0 + s1 x,
+    reduced once, on field scalars; deg u1 = deg u2 = 2."""
+    F = curve.field
+    add, sub, mul = F.add, F.sub, F.mul
     h0, h1, h2 = curve.h + (0,) * (3 - len(curve.h))  # deg h <= 2, deg f = 5
     f0, f1, f2, f3, f4, f5 = curve.f
     a0, a1, _ = d1.u
     b0, b1, _ = d2.u
     p0, p1 = (d1.v + (0, 0))[:2]
-    if s is not None:
-        s0, s1 = s
-    else:
-        q0, q1 = (d2.v + (0, 0))[:2]
-        if d1.u == d2.u:
-            # w = (v1 + v2 + h) mod u
-            w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
-            w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
-            if not (w0 or w1):
-                return IDENTITY
-            if d1.v != d2.v:
-                return _split_double(curve, d1, d2)
-            t0, t1 = _quotient_mod_u(curve, d1)  # t = k mod u
-        else:
-            w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
-            t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
-
-        # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
-        j0 = sub(w0, mul(w1, b1))
-        r = add(mul(w0, j0), mul(mul(w1, w1), b0))
-        if not r:  # w1 != 0, or r = w0^2
-            x0 = mul(F.neg(w0), F.inv(w1))
-            if d1.u != d2.u:
-                return _shared_root(curve, d1, d2, x0)
-            a = sub(F.neg(a1), x0)
-            if a == x0:
-                raise InvalidDivisorError("u has a double root at a Weierstrass point")
-            _on_curve(curve, x0, add(p0, mul(p1, x0)))  # W
-            return _double_point(curve, a, add(p0, mul(p1, a)))
-        ri = F.inv(r)
-        s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
-        s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
 
     # V = v1 + s u1 and H = V + h; U = u1 u2 is monic of degree 4
     V3, V2 = s1, add(s0, mul(s1, a1))
@@ -346,7 +353,7 @@ def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
     b2 = sub(neg(d2.u[1]), a)
     v2b, v1b, u1b = (at(g, (b2,))[0] for g in (d2.v, d1.v, d1.u))
     s1 = mul(sub(mul(sub(v2b, v1b), inv(u1b)), sa), inv(sub(b2, a)))
-    return _explicit_sum(curve, d1, d2, (sub(sa, mul(s1, a)), s1))
+    return _sum_scalars(curve, d1, d2, sub(sa, mul(s1, a)), s1)
 
 
 def _remaining_point(curve: CurveModel, d: MumfordDivisor, a: int, b: int, y: int) -> int:
@@ -439,44 +446,33 @@ def in_theta(d: MumfordDivisor) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _quadratic_tables(field: FiniteField) -> tuple[tuple, tuple, tuple, tuple]:
-    """The curve-free tables of ``_reduced_divisors`` over F_q: (us, vs,
-    pairs, coords).
+def _quadratic_tables(field: FiniteField) -> tuple[tuple, tuple, tuple]:
+    """The curve-free tables of ``_reduced_divisors`` over F_q: (us, vs, pairs).
 
     ``us[u0 q + u1]`` is the u tuple (u0, u1, 1) and ``vs[v0 q + v1]`` the
     trimmed v tuple of v0 + v1 x, so a degree-2 class keyed
     (u0 q + u1) q^2 + v0 q + v1 decodes, by quotient and remainder mod q^2,
-    into two lookups.  F_{q^2} has the F_q-basis (1, t), t the first x of
-    ``frobenius_pairs``, and ``coords[y]`` holds (c0, log c1) for
-    y = c0 + c1 t.  ``pairs`` holds, for each x = a0 + a1 t of
-    ``frobenius_pairs``, (q^2 times the key of u = (X - x)(X - x^q),
-    log 1/a1, log a0/a1), with the norm and trace of x mapped back to F_q
-    as u0 and -u1; logs are those of F_q.  Built by the first enumeration
-    over a field and kept for 64 fields, the bound of the embedding cache.
+    into two lookups.  ``pairs`` holds, for each x of ``frobenius_pairs``
+    in F_{q^2}, (log x, q^2 times the key of u = (X - x)(X - x^q),
+    log 1/(x - x^q)), with the norm and trace of x mapped back to F_q as
+    u0 and -u1.  Built by the first enumeration over a field and kept for
+    64 fields, the bound of the embedding cache.
     """
     q = field.q
-    log, exp2, mul = field.log, field.exp2, field.mul
     emb = extend_field(field, 2, allow_large=True)
-    E, back, image = emb.ext, emb.preimage, emb.image
+    E, back = emb.ext, emb.preimage
     elog, eexp2, en = E.log, E.exp2, E.q - 1
     us = tuple((u0, u1, 1) for u0 in range(q) for u1 in range(q))
     vs = tuple((v0, v1) if v1 else ((v0,) if v0 else ())
                for v0 in range(q) for v1 in range(q))
-    t = emb.frobenius_pairs[0]
-    coords = [None] * E.q
-    for c1 in range(q):
-        c1t = E.mul(image[c1], t)
-        for c0 in range(q):
-            coords[E.add(image[c0], c1t)] = (c0, log[c1])
     pairs = []
     for x in emb.frobenius_pairs:
         lx = elog[x]
         lxq = lx * q % en
-        u = back[eexp2[lx + lxq]] * q + back[E.neg(E.add(x, eexp2[lxq]))]
-        a0, la1 = coords[x]  # a1 != 0, as x is not in F_q
-        ia1 = exp2[q - 1 - la1]
-        pairs.append((u * q * q, log[ia1], log[mul(a0, ia1)]))
-    return us, vs, tuple(pairs), tuple(coords)
+        xq = eexp2[lxq]
+        u = back[eexp2[lx + lxq]] * q + back[E.neg(E.add(x, xq))]
+        pairs.append((lx, u * q * q, en - elog[E.sub(x, xq)]))
+    return us, vs, tuple(pairs)
 
 
 def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
@@ -492,8 +488,8 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     of the trimmed coefficient tuples since trimming v only drops trailing
     zeros: both lists sort with no key function.  Each key decodes into the
     shared u and v tuples of ``_quadratic_tables``, which also holds the
-    F_q coordinates of F_{q^2} and the curve-free data of each Frobenius
-    pair.  Products and quotients run on the log tables of F_q and F_{q^2}.
+    curve-free data of each Frobenius pair.  Products and quotients run on
+    the log tables of F_q and F_{q^2}.
     """
     F = curve.field
     q, n, q2 = F.q, F.q - 1, F.q * F.q
@@ -501,7 +497,7 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     log, exp2 = F.log, F.exp2
     add, sub, neg = F.add, F.sub, F.neg
     solve = F.quadratic_roots
-    us, vs, frobenius, coords = _quadratic_tables(F)
+    us, vs, frobenius = _quadratic_tables(F)
 
     # u = x - a: v is a root y over a
     hs, fs = F.values(h, F.elements()), F.values(f, F.elements())
@@ -540,20 +536,23 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
             for v1 in lifts:
                 keys.append(u + sub(y, mul(v1, a)) * q + v1)
 
-    # u irreducible: one root x = a0 + a1 t of u in F_{q^2} per Frobenius
-    # pair {x, x^q} (the pair list point counting uses); v is the F_q-line
-    # through (x, y) and (x^q, y^q), so y = c0 + c1 t gives v1 = c1 / a1 and
-    # v0 = c0 - c1 a0 / a1.  The key of u, log 1/a1, log a0/a1 and each
-    # (c0, log c1) come from the per-field table.
+    # u irreducible: one root x of u in F_{q^2} per Frobenius pair {x, x^q}
+    # (the pair list point counting uses); v is the F_q-line through (x, y)
+    # and (x^q, y^q), v1 = (y - y^q) / (x - x^q) and v0 = y - v1 x.  log x,
+    # the key of u and log 1/(x - x^q) come from the per-field table.
     emb = extend_field(F, 2, allow_large=True)
     E = emb.ext
-    xs = emb.frobenius_pairs
+    back = emb.preimage
+    elog, eexp2, en = E.log, E.exp2, E.q - 1
+    esub = E.sub
     esolve = E.quadratic_roots
-    for (u, l1, l0), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
+    xs = emb.frobenius_pairs
+    for (lx, u, lw), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
                                    E.values(emb.map_poly(f), xs)):
         for y in esolve(hx, fx):
-            c0, lc1 = coords[y]
-            keys.append(u + sub(c0, exp2[lc1 + l0]) * q + exp2[lc1 + l1])
+            d = esub(y, eexp2[elog[y] * q % en]) if y else 0  # y^q: an index mod en needs y != 0
+            v1 = eexp2[elog[d] + lw]
+            keys.append(u + back[esub(y, eexp2[elog[v1] + lx])] * q + back[v1])
 
     points.sort()
     keys.sort()
@@ -621,15 +620,27 @@ def zero_sum_tuples(curve: CurveModel, r: int, limit: int | None = None,
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError(f"need limit None or an int >= 0, got {limit!r}")
 
-    def close(picks: tuple[MumfordDivisor, ...]) -> tuple[MumfordDivisor, ...]:
+    group = enumerate_jacobian(curve)
+    return _zero_sum_tuples(curve, group, r, limit, stride)
+
+
+def _zero_sum_tuples(curve: CurveModel, group: tuple[MumfordDivisor, ...], r: int,
+                     limit: int | None, stride: int) -> Iterator[tuple[MumfordDivisor, ...]]:
+    """The generator of ``zero_sum_tuples``, once its arguments are checked;
+    each kept index is decoded by divmod, so the work grows with the tuples
+    yielded, not with the stride."""
+    n = len(group)
+    for index in islice(range(0, n ** (r - 1), stride), limit):
+        picks = []
+        for _ in range(r - 1):
+            index, i = divmod(index, n)
+            picks.append(group[i])
+        picks.reverse()  # lexicographic: leftmost entry moves slowest
         acc = IDENTITY
         for d in picks:
             acc = cantor_add(curve, acc, d)
-        return (*picks, negate(curve, acc))
-
-    # product runs lexicographically: the leftmost entry moves slowest
-    picks = product(enumerate_jacobian(curve), repeat=r - 1)
-    return map(close, islice(islice(picks, 0, None, stride), limit))
+        picks.append(negate(curve, acc))
+        yield tuple(picks)
 
 
 class TranslateExperiment(NamedTuple):

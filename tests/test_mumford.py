@@ -580,8 +580,8 @@ class TestScanOracle:
             assert enumerate_jacobian.__wrapped__(curve) == scan_jacobian(curve)
         default, supplied = field_from_order(q), field_from_order(q, modulus)
         assert default != supplied
-        default_pairs = mumford._quadratic_tables(default)[2]
-        supplied_pairs = mumford._quadratic_tables(supplied)[2]
+        _, _, default_pairs = mumford._quadratic_tables(default)
+        _, _, supplied_pairs = mumford._quadratic_tables(supplied)
         assert default_pairs != supplied_pairs
 
     def test_unvalidated_models(self, f2):
@@ -695,6 +695,23 @@ class TestZeroSumTuples:
         assert [tup[:2] for tup in every] == list(itertools.product(group, repeat=2))
         assert list(zero_sum_tuples(curve_e2, 3, limit=5, stride=7)) == every[::7][:5]
         assert list(zero_sum_tuples(curve_e2, 3, limit=0)) == []
+
+    def test_large_stride_decodes_each_index(self, curve_e2):
+        # 13^11 ~ 1.8e12 leading tuples: stepping through the skipped ones
+        # would never end, so each kept index must be decoded directly
+        group = enumerate_jacobian(curve_e2)
+        r, n = 12, len(group)
+        stride = n ** (r - 1) // 3
+        got = list(zero_sum_tuples(curve_e2, r, limit=3, stride=stride))
+        assert len(got) == 3
+        for k, tup in enumerate(got):
+            index = k * stride
+            digits = [index // n ** e % n for e in reversed(range(r - 1))]
+            assert tup[:-1] == tuple(group[i] for i in digits)
+            acc = IDENTITY
+            for d in tup:
+                acc = cantor_add(curve_e2, acc, d)
+            assert acc == IDENTITY
 
     @pytest.mark.parametrize("kwargs", [
         {"r": 1}, {"r": 2.0}, {"r": True}, {"r": 2, "stride": 0}, {"r": 2, "stride": -1},
