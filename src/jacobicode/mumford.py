@@ -2,13 +2,13 @@
 
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
 2, deg v < deg u, and u dividing v^2 + h v - f.  The group law is in
-closed form for every pair.  It adds two classes with coprime u, and
-doubles a class whose u is coprime to 2v + h, by explicit formulas
-whatever the degrees: straight-line on field scalars when both classes
-have degree 2, on coefficient tuples when one is a point.  Classes whose
-u share a root a read the sum off the points over a, and a double at a
-Weierstrass point is the tangent at the other point.  Cantor's
-composition and reduction is the tests' oracle for all of it.
+closed form for every pair, straight-line on field scalars.  It adds two
+classes with coprime u, and doubles a class whose u is coprime to 2v + h,
+by explicit formulas whatever the degrees (a point doubled is its
+tangent, two points the line through them).  Classes whose u share a
+root a read the sum off the points over a, and a double at a Weierstrass
+point is the tangent at the other point.  Cantor's composition and
+reduction is the tests' oracle for all of it.
 
 The whole group is enumerated by solving the divisibility condition per
 u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
@@ -112,15 +112,17 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
 
     The identity and a class plus its negative are read off directly.  Two
     classes with coprime u, and a double whose u is coprime to 2v + h,
-    take one composition and one reduction step (Lange 2005, affine, any
-    h; ``_explicit_sum``).  Every other pair has a common root a of u1 and
-    u2 in F_q, and the points over a give the sum (``_shared_root``,
-    ``_split_double``).  Those forms skip the exact division of a
-    composition, so they check every point they read on the curve; they
-    and an inexact division raise InvalidDivisorError.  Inputs are not
-    validated beyond that (``check_divisor`` does): the identity returns
-    the other operand as it is, and every pair of formal negatives (equal
-    u, v1 + v2 + h = 0 mod u) sums to the identity, on the curve or not.
+    take one composition and at most one reduction step (Lange 2005,
+    affine, any h; ``_explicit_sum``, and ``_point_sum`` for a point).
+    Every other pair has a common root a of u1 and u2 in F_q, and the
+    points over a give the sum (``_shared_root``, ``_split_double``).
+    Those forms, the line through two points and the tangent at a point
+    skip the exact division of a composition, so they check every point
+    they read on the curve; they and an inexact division raise
+    InvalidDivisorError.  Inputs are not validated beyond that
+    (``check_divisor`` does): the identity returns the other operand as it
+    is, and every pair of formal negatives (equal u, v1 + v2 + h = 0 mod
+    u) sums to the identity, on the curve or not.
     Cantor's algorithm (Math. Comp. 48, 1987) is the tests' oracle: it
     equals this law on valid classes and rejects no pair that this law
     accepts; on y^2 + x^2 y = x^5 + x^4 + x + 1 over F_2 it rejects the
@@ -155,15 +157,13 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> 
     P + W has its Weierstrass point W over x0: 2W = 0, so the sum is the
     tangent at P.  Equal u with unrelated v go to ``_split_double``.
 
-    Two degree-2 operands run straight-line on scalars, with the field's
-    add, sub, mul and inv only and one body for every field; the
-    composition and reduction from s on is ``_sum_scalars``, whose
-    division by U keeps its remainder check, the only validity check of a
-    double.  An operand of degree 1 (a point plus a class, two points)
-    runs the same steps on coefficient tuples, ``_point_sum`` and
-    ``_sum_tuples``.  A
-    straight-line version of those waits on a benchmark whose peak memory
-    does not grow with its op count (ROADMAP item 2).
+    Every form runs straight-line on scalars, with the field's add, sub,
+    mul and inv only and one body for every field.  For two degree-2
+    operands the composition and reduction from s on is ``_sum_scalars``,
+    whose division by U keeps its remainder check, the only validity
+    check of a double.  An operand of degree 1 takes ``_point_sum``: a
+    point plus a coprime class reduces the cubic U in ``_cubic_sum``, with
+    the same check; two points, or a point doubled, check each point read.
     """
     if len(d1.u) < 3:
         return _point_sum(curve, d1, d2)
@@ -271,47 +271,58 @@ def _quotient_mod_u(curve: CurveModel, d: MumfordDivisor) -> tuple[int, int]:
 
 def _point_sum(curve: CurveModel, d1: MumfordDivisor,
                d2: MumfordDivisor) -> MumfordDivisor:
-    """``_explicit_sum`` on coefficient tuples, for a u1 of degree 1."""
+    """``_explicit_sum`` for u1 = x - a, on field scalars: (a, y1) plus a
+    class through no point over a is ``_cubic_sum``, two points with
+    distinct x give the line through both, and the same point twice the
+    tangent."""
     F = curve.field
-    h = curve.h
-    u1, v1, m = d1.u, d1.v, d2.u
-    if u1 == m:
-        w = poly.mod(F, poly.add(F, poly.add(F, v1, d2.v), h), m)
-        if not w:
-            return IDENTITY
-        if v1 != d2.v:  # two points over one x that are not opposite
-            raise InvalidDivisorError("a point is not on the curve")
-        t = poly.divmod_(F, _norm(curve, v1), m)[0]  # _sum_tuples checks the remainder
-    else:
-        w, t = poly.mod(F, u1, m), poly.sub(F, d2.v, v1)
-
-    # 1/w mod m = (-w1 x + w0 - w1 m1) / r, with r = Res(m, w) for deg m = 2;
-    # for deg m = 1, w is a constant w0 and the formula gives w0 / w0^2 = 1/w0
     add, sub, mul = F.add, F.sub, F.mul
-    w0, w1 = poly.coefficient(w, 0), poly.coefficient(w, 1)
-    m0, m1 = m[0], m[1]
-    r = add(sub(mul(mul(w1, w1), m0), mul(mul(w1, w0), m1)), mul(w0, w0))
-    if not r:  # u1 = x - a divides m
-        return _shared_root(curve, d1, d2, F.neg(u1[0]))
-    adj = poly.trim((sub(w0, mul(w1, m1)), F.neg(w1)))
-    s = poly.scale(F, poly.mod(F, poly.mul(F, t, adj), m), F.inv(r))
-    return _sum_tuples(curve, u1, v1, s, m)
+    a, y1 = F.neg(d1.u[0]), (d1.v or (0,))[0]
+    if len(d2.u) == 3:
+        (b0, b1, _), (q0, q1) = d2.u, (d2.v + (0, 0))[:2]
+        r = add(mul(add(a, b1), a), b0)  # u2(a) = Res(u1, u2)
+        if not r:
+            return _shared_root(curve, d1, d2, a)
+        return _cubic_sum(curve, d2, a, mul(sub(sub(y1, q0), mul(q1, a)), F.inv(r)))
+    b, y2 = F.neg(d2.u[0]), (d2.v or (0,))[0]
+    if a != b:
+        _on_curve(curve, a, y1)
+        _on_curve(curve, b, y2)
+        slope = mul(sub(y2, y1), F.inv(sub(b, a)))
+        return _quadratic_class(mul(a, b), F.neg(add(a, b)), sub(y1, mul(slope, a)), slope)
+    if not add(add(y1, y2), F.values(curve.h, (a,))[0]):
+        return IDENTITY
+    if y1 != y2:
+        raise InvalidDivisorError("two points over one x are neither equal nor opposite")
+    return _double_point(curve, a, y1)
 
 
-def _sum_tuples(curve: CurveModel, u1: tuple[int, ...], v1: tuple[int, ...],
-                s: tuple[int, ...], m: tuple[int, ...]) -> MumfordDivisor:
-    """The composition V = v1 + s u1, U = u1 m of degree 2 or 3, reduced at
-    most once, on coefficient tuples."""
+def _cubic_sum(curve: CurveModel, d: MumfordDivisor, a: int, c: int) -> MumfordDivisor:
+    """The composition V = v + c u, U = (x - a) u of degree 3, reduced once,
+    on field scalars; deg u = 2 and V passes through the point over a."""
     F = curve.field
-    V = poly.add(F, v1, poly.mul(F, s, u1))
-    U = poly.mul(F, u1, m)
-    u, rem = poly.divmod_(F, _norm(curve, V), U)
-    if rem:
+    add, sub, mul = F.add, F.sub, F.mul
+    h0, h1, h2 = curve.h + (0,) * (3 - len(curve.h))
+    f0, f1, f2, f3, f4, f5 = curve.f
+    (b0, b1, _), (q0, q1) = d.u, (d.v + (0, 0))[:2]
+    V2, V1, V0 = c, add(q1, mul(c, b1)), add(q0, mul(c, b0))
+    H2, H1, H0 = add(V2, h2), add(V1, h1), add(V0, h0)
+    U2, U1, U0 = sub(b1, a), sub(b0, mul(a, b1)), F.neg(mul(a, b0))
+
+    # K = (V H - f) / U has degree 2 and K2 = -f5, as deg V H <= 4; the
+    # division must leave no remainder
+    K2 = F.neg(f5)
+    K1 = sub(sub(mul(V2, H2), f4), mul(K2, U2))
+    K0 = sub(sub(add(mul(V2, H1), mul(V1, H2)), f3), add(mul(K2, U1), mul(K1, U2)))
+    if (sub(sub(add(add(mul(V2, H0), mul(V1, H1)), mul(V0, H2)), f2),
+            add(add(mul(K2, U0), mul(K1, U1)), mul(K0, U2)))
+            or sub(sub(add(mul(V1, H0), mul(V0, H1)), f1), add(mul(K1, U0), mul(K0, U1)))
+            or sub(sub(mul(V0, H0), f0), mul(K0, U0))):
         raise InvalidDivisorError("(f - h V - V^2) is not divisible by u1 u2")
-    if len(U) == 3:
-        return MumfordDivisor(U, V)
-    u = poly.monic(F, u)
-    return MumfordDivisor(u, poly.mod(F, poly.neg(F, poly.add(F, curve.h, V)), u))
+    # u' = monic(K) and v' = -H mod u'
+    ki = F.inv(K2)
+    e1, e0 = mul(K1, ki), mul(K0, ki)
+    return _quadratic_class(e0, e1, sub(mul(H2, e0), H0), sub(mul(H2, e1), H1))
 
 
 def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
@@ -349,7 +360,7 @@ def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
     t0, t1 = _quotient_mod_u(curve, d1)
     sa = mul(add(t0, mul(t1, a)), inv(c))
     if len(d2.u) == 2:  # U = u1 (x - a)
-        return _sum_tuples(curve, d1.u, d1.v, (sa,) if sa else (), d2.u)
+        return _cubic_sum(curve, d1, a, sa)
     b2 = sub(neg(d2.u[1]), a)
     v2b, v1b, u1b = (at(g, (b2,))[0] for g in (d2.v, d1.v, d1.u))
     s1 = mul(sub(mul(sub(v2b, v1b), inv(u1b)), sa), inv(sub(b2, a)))
@@ -426,7 +437,11 @@ def negate(curve: CurveModel, d: MumfordDivisor) -> MumfordDivisor:
 
 
 def scalar_mul(curve: CurveModel, n: int, d: MumfordDivisor) -> MumfordDivisor:
-    """n-fold sum by double-and-add; negative n through the involution."""
+    """n-fold sum by double-and-add; negative n through the involution.
+    ValueError unless n is an int."""
+    _require_imaginary(curve)
+    if type(n) is not int:
+        raise ValueError(f"need an int n, got {n!r}")
     if n < 0:
         return scalar_mul(curve, -n, negate(curve, d))
     acc = IDENTITY

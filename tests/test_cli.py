@@ -175,6 +175,17 @@ class TestAttain:
         assert data["bound_respected"] is True  # d_lb <= 0 never constrains
         assert all(not e["attained"] for e in data["experiments"])
 
+    # translate experiments are almost all point-plus-class sums; a change
+    # that alters attain output on purpose re-records these digests
+    @pytest.mark.parametrize("argv,digest", [
+        ("--q 32 --h 1 --f x^5+x^3+1 --r 3 --tuples 200", "f7d505d57485c4d3"),
+        ("--q 27 --f x^5+x^2+2 --r 3 --tuples 200", "83436dd2d44db363"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, argv, digest):
+        path = tmp_path / "attain.json"
+        assert run_cli(["attain", *argv.split(), "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("flag,value", [("--tuples", "0"), ("--r", "1")])
     def test_bad_counts_are_exit_1(self, flag, value):
         code, out, err = invoke(["attain", "--q", "2", "--h", "1",

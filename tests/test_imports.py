@@ -93,6 +93,19 @@ def test_cantor_stays_in_the_tests():
         assert not {"ext_gcd", "exact_div"} & loaded_names(path.read_text()), path.name
 
 
+def test_group_law_runs_on_field_scalars():
+    # every form of the group law is straight-line on field scalars: the
+    # tuple composition is gone, and no helper of the law reads the
+    # polynomial layer, directly or through _norm
+    tree = ast.parse((PACKAGE / "mumford.py").read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_sum_tuples" not in bodies
+    for name in ("_explicit_sum", "_point_sum", "_cubic_sum", "_sum_scalars", "_shared_root",
+                 "_split_double", "_remaining_point", "_on_curve", "_quotient_mod_u"):
+        read = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
+        assert not {"poly", "_norm"} & read, name
+
+
 def test_import_leaves_out_dataclasses():
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
     # 0.9 MB of allocations in every process that imports the package

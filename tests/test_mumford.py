@@ -226,6 +226,17 @@ class TestGroupLaw:
                 for d in group:
                     assert scalar_mul(curve, n, d) == IDENTITY
 
+    def test_scalar_mul_checks_the_model_and_n(self, curve_e2):
+        # n = 0 once returned the identity on a real model, where n >= 1
+        # raised, and a float n raised a bare TypeError from n & 1
+        real = validate_curve(make_field(5, 1), (), (1, 1, 0, 0, 0, 0, 1))
+        for n in (0, 1, -1):
+            with pytest.raises(RealModelUnsupportedError):
+                scalar_mul(real, n, IDENTITY)
+        for n in (2.0, 0.0, True, "2"):
+            with pytest.raises(ValueError):
+                scalar_mul(curve_e2, n, D_X0)
+
     def test_group_law_rejects_an_invalid_class(self, curve_e2):
         # x^2 + x + 1 does not divide x^5 + x^3 - h v - v^2 for v = 0; it is
         # coprime to every other u, so each sum reaches an inexact division
@@ -291,8 +302,12 @@ class TestGroupLaw:
 
 SHARED_ROOT_CASES = ("weierstrass double", "split double", "opposite at a shared root",
                      "same point at a shared root")
-BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum", "point plus class",
-            *SHARED_ROOT_CASES}
+# the forms of a pair with an operand of degree 1, u1 = x - a
+POINT_CASES = ("point plus coprime class", "point doubled", "opposite points",
+               "point opposite a point of the class", "point plus class through it",
+               "two points")
+BRANCHES = {"identity", "negation", "add", "double", "degree-1 sum",
+            *SHARED_ROOT_CASES, *POINT_CASES}
 # by characteristic 2 or odd, up to JACOBIAN_Q_CAP = 64 and the largest odd prime below it
 SAMPLED_QS = {True: (8, 16, 32, 64), False: (7, 9, 25, 27, 61)}
 SAMPLED_PAIRS = 150
@@ -323,9 +338,33 @@ def shared_root_case(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) 
     return "opposite at a shared root" if opposite else "same point at a shared root"
 
 
+def point_case(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> str | None:
+    """The form a pair with an operand (a, y1) of degree 1 takes, None for
+    any other pair: by whether the other operand is a class or a point, and
+    by how its points meet (a, y1); "points over one x" holds two points
+    over a that are neither equal nor opposite, which no valid pair does."""
+    F = curve.field
+    if IDENTITY in (d1, d2) or 1 not in (d1.degree, d2.degree):
+        return None
+    if d1.degree > d2.degree:
+        d1, d2 = d2, d1
+    a = F.neg(d1.u[0])
+    y1, y2, ha = (evaluate(F, c, a) for c in (d1.v, d2.v, curve.h))
+    opposite = F.add(F.add(y1, y2), ha) == 0
+    if d2.degree == 2:
+        if evaluate(F, d2.u, a):
+            return "point plus coprime class"
+        return "point opposite a point of the class" if opposite else "point plus class through it"
+    if d1.u != d2.u:
+        return "two points"
+    if opposite:
+        return "opposite points"
+    return "point doubled" if y1 == y2 else "points over one x"
+
+
 def branch(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
            out: MumfordDivisor) -> str:
-    case = shared_root_case(curve, d1, d2)
+    case = point_case(curve, d1, d2) or shared_root_case(curve, d1, d2)
     if case:
         return case
     if IDENTITY in (d1, d2):
@@ -334,8 +373,6 @@ def branch(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
         return "negation"
     if out.degree == 1:
         return "degree-1 sum"
-    if d1.degree != d2.degree:
-        return "point plus class"
     return "double" if d1 == d2 else "add"
 
 
@@ -359,10 +396,16 @@ def through(F, p1: tuple[int, int], p2: tuple[int, int]) -> MumfordDivisor:
                           poly.trim((F.sub(y1, F.mul(slope, x1)), slope)))
 
 
+def point(F, p: tuple[int, int]) -> MumfordDivisor:
+    """The (u, v) of degree 1 over the point, on the curve or not."""
+    return MumfordDivisor((F.neg(p[0]), 1), poly.trim((p[1],)))
+
+
 def off_curve_pairs(curve: CurveModel) -> dict[str, tuple[MumfordDivisor, MumfordDivisor]]:
-    """A pair for each closed form of a shared root, and for two points over
-    one x, with one point off the curve, where the curve has the points to
-    build it from P = (a, y), not a Weierstrass point, and Q = (b, z), b != a."""
+    """A pair for each closed form of a shared root, for each form of a
+    point operand, and for two points over one x, with one point off the
+    curve, where the curve has the points to build it from P = (a, y), not a
+    Weierstrass point, and Q = (b, z), b != a."""
     F = curve.field
     on = [(pt.x, pt.y) for pt in curve_points(curve, 1) if not pt.at_infinity]
     hs = {x: evaluate(F, curve.h, x) for x in F.elements()}
@@ -378,11 +421,19 @@ def off_curve_pairs(curve: CurveModel) -> dict[str, tuple[MumfordDivisor, Mumfor
                                  (through(F, minus_p, (c, yc)), through(F, P, Q)))
                 pairs.setdefault("same point at a shared root",
                                  (through(F, P, (c, yc)), through(F, P, Q)))
+                pairs.setdefault("point plus coprime class", (point(F, (c, yc)), through(F, P, Q)))
+                pairs.setdefault("point opposite a point of the class",
+                                 (point(F, minus_p), through(F, P, (c, yc))))
+                pairs.setdefault("point plus class through it",
+                                 (point(F, P), through(F, P, (c, yc))))
         for yb in offs[b][:1]:
             pairs.setdefault("split double", (through(F, P, Q), through(F, P, (b, yb))))
+            pairs.setdefault("two points", (point(F, P), point(F, (b, yb))))
         for ya in offs[a][:1]:
-            pairs.setdefault("points over one x", (MumfordDivisor((F.neg(a), 1), poly.trim((y,))),
-                                                   MumfordDivisor((F.neg(a), 1), poly.trim((ya,)))))
+            pairs.setdefault("points over one x", (point(F, P), point(F, (a, ya))))
+        for ya in offs[a]:  # not its own formal negative, which sums to the identity
+            if F.add(F.add(ya, ya), hs[a]):
+                pairs.setdefault("point doubled", (point(F, (a, ya)), point(F, (a, ya))))
         for w in F.elements():  # 2 yw + h(w) = 0 with (w, yw) off the curve
             for yw in offs[w] if w != a else ():
                 if F.add(F.add(yw, yw), hs[w]) == 0:
@@ -458,20 +509,20 @@ class TestExplicitFormulas:
     @pytest.mark.parametrize("qs", [(2, 4), (3, 5)], ids=["char2", "odd"])
     def test_closed_forms_reject_an_off_curve_point(self, qs, corpus):
         # the first bad pair of each closed form over the corpus: each reads
-        # a point off the curve, which the forms check in place of the
-        # exact division they skip
+        # a point off the curve, which the forms check on the curve or by
+        # the division of a cubic composition; two opposite points are
+        # formal negatives, which sum to the identity unchecked
         found = set()
         for curve in (curve for q in qs for curve in corpus[q]):
             for case, (d1, d2) in off_curve_pairs(curve).items():
                 if case in found:
                     continue
                 found.add(case)
-                if case != "points over one x":
-                    assert shared_root_case(curve, d1, d2) == case
+                assert (point_case(curve, d1, d2) or shared_root_case(curve, d1, d2)) == case
                 for pair in ((d1, d2), (d2, d1)):
                     with pytest.raises(InvalidDivisorError):
                         cantor_add(curve, *pair)
-        assert found == {*SHARED_ROOT_CASES, "points over one x"}
+        assert found == {*SHARED_ROOT_CASES, *POINT_CASES, "points over one x"} - {"opposite points"}
 
 
 def assert_sorted_and_unique(group: tuple[MumfordDivisor, ...]) -> None:
