@@ -35,13 +35,10 @@ from .mumford import (
     zero_sum_tuples,
 )
 from .weil import (
-    FactorShape,
     SimplicityVerdict,
     Verdict,
     WeilData,
-    WeilFactorization,
     classify_simplicity,
-    factor_weil,
     jacobian_order,
     serre_constant,
     weil_from_counts,

@@ -79,6 +79,8 @@ def _curve_from_args(args) -> CurveModel:
             text = Path(args.curve).read_text()
         except OSError:  # not a readable file: the argument is the JSON itself
             text = args.curve
+        except UnicodeDecodeError:
+            raise UsageError("--curve file is not UTF-8 text") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -249,7 +251,7 @@ def build_parser() -> _Parser:
     p.add_argument("--enumerate", action="store_true", help="list the group elements")
     p.add_argument("--verify-order", action="store_true",
                    help="enumerate and cross-check against the zeta-side order")
-    _add_output_args(p)
+    p.add_argument("--output", help="write the JSON to this path instead of stdout")
     p.set_defaults(func=_cmd_jacobian)
 
     p = subs.add_parser("bound", help="point bound for a curve on an abelian surface")
@@ -263,7 +265,7 @@ def build_parser() -> _Parser:
     _add_curve_args(p)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--tuples", type=int, default=25)
-    _add_output_args(p)
+    p.add_argument("--output", help="write the JSON to this path instead of stdout")
     p.set_defaults(func=_cmd_attain)
 
     p = subs.add_parser("search", help="search curves and tabulate code reports")

@@ -195,7 +195,10 @@ def _x_classes(field: FiniteField, k: int):
 
 @lru_cache(maxsize=256)
 def count_points(curve: CurveModel, k: int = 1) -> PointCount:
-    """Exhaustive number of points of the smooth model over F_{q^k}."""
+    """Exhaustive number of points of the smooth model over F_{q^k}, k an int
+    >= 1 (ValueError otherwise: True and 1.0 would share k = 1's cache entry)."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need an int k >= 1, got {k!r}")
     _check_budget(curve, k)
     emb, classes, neg2 = _x_classes(curve.field, k)
     E, hh, ff = emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)

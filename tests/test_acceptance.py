@@ -37,10 +37,8 @@ from jacobicode.mumford import (
     zero_sum_tuples,
 )
 from jacobicode.weil import (
-    FactorShape,
     Verdict,
     classify_simplicity,
-    factor_weil,
     jacobian_order,
     serre_constant,
     weil_from_counts,
@@ -48,7 +46,13 @@ from jacobicode.weil import (
 
 from conftest import enumerate_curves
 from test_bounds import support_bound_bruteforce
-from test_weil import elliptic_product_classes, extension_count
+from test_weil import (
+    FactorShape,
+    elliptic_product_classes,
+    extension_count,
+    factor_weil_search,
+    quartic,
+)
 
 # documented search configuration for the F_16 regime demonstration:
 # seed 2024 finds an N1 = 33 model within the first 5000 draws
@@ -100,9 +104,9 @@ def test_c01_e1_anchor(curve_e1):
     assert count_points(curve_e1, 1).count == 3
     assert count_points(curve_e1, 2).count == 5
     w = weil_from_counts(2, 3, 5)
-    assert w.coefficients() == (4, 0, 0, 0, 1)  # t^4 + 4
+    assert quartic(w) == (4, 0, 0, 0, 1)  # t^4 + 4
     assert jacobian_order(w) == 5
-    fac = factor_weil(w)
+    fac = factor_weil_search(w)
     assert set(f for f, _ in fac.factors) == {(2, -2, 1), (2, 2, 1)}
     assert fac.shape is FactorShape.TWO_QUADRATICS
     assert classify_simplicity(w).verdict is Verdict.NOT_SIMPLE
@@ -117,8 +121,8 @@ def test_c02_e2_anchor(curve_e2):
     assert count_points(curve_e2, 1).count == 5
     assert count_points(curve_e2, 2).count == 5
     w = weil_from_counts(2, 5, 5)
-    assert w.coefficients() == (4, 4, 2, 2, 1)
-    assert factor_weil(w).shape is FactorShape.IRREDUCIBLE_QUARTIC
+    assert quartic(w) == (4, 4, 2, 2, 1)
+    assert factor_weil_search(w).shape is FactorShape.IRREDUCIBLE_QUARTIC
     assert classify_simplicity(w).verdict is Verdict.SIMPLE
     assert jacobian_order(w) == 13 == (5 + 25) // 2 - 2
     assert len(enumerate_jacobian(curve_e2)) == 13
@@ -307,7 +311,7 @@ def test_c12_non_elliptic_square_certifies_over_f8():
     curve = validate_curve(make_field(2, 3), (2,), (2, 5, 2, 7, 2, 1))
     w = weil_from_counts(8, count_points(curve, 1).count, count_points(curve, 2).count)
     assert (w.c1, w.c2) == (0, -16)
-    assert factor_weil(w).factors == (((-8, 0, 1), 2),)
+    assert factor_weil_search(w).factors == (((-8, 0, 1), 2),)
     report = code_params(w, 2)
     assert report.simplicity == (Verdict.SIMPLE, "non-elliptic-square")
     assert (report.n, report.d_lb, report.certified) == (49, 25, True)

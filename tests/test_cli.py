@@ -94,6 +94,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["simple"] is False  # E1 splits
 
+    def test_non_utf8_curve_file_is_one_line_error(self, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = invoke(["analyze", "--curve", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_long_inline_json_is_not_taken_for_a_path(self):
         curve = {"field": {"p": 2, "a": 1, "modulus": [0, 1]},
                  "h": [1], "f": [0, 0, 0, 1, 0, 1]}
@@ -308,6 +315,14 @@ class TestErrorContract:
         assert code == 1 and err.startswith("error:")
         assert "exceeds the cap 65536" in err and "allow_large" not in err
 
+    @pytest.mark.parametrize("command", ["jacobian", "attain"])
+    def test_format_is_not_an_option(self, command):
+        # both subcommands write JSON only
+        code, out, err = invoke([command, "--q", "2", "--h", "1", "--f", "x^5+x^3",
+                                 "--format", "csv"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         code, _, err = invoke(["bound", "--q", "2", "--tau", "2", "--pi", "3",
                                "--output", str(tmp_path / "missing" / "out.txt")])
@@ -331,16 +346,16 @@ _CURVES = ["TMP", "TMP/missing.json", "null", "[1]", "{}", "not json",
 _POLYS = ["", "+", "0", "1", "x", "2*x", "x^-1", "x^5", "x^5+x^3", "x^5+x^3+7",
           "x^5+x+1", "x^5+2*x+1", "x^6+1"]
 _Q = ["-1", "0", "1", "2", "3", "4", "6", "9", "x"]
-_OUT = {"--format": ["json", "csv", "text", "xml"],
-        "--output": ["TMP/out.txt", "TMP/missing/out.txt", "TMP"]}
+_OUTPUT = {"--output": ["TMP/out.txt", "TMP/missing/out.txt", "TMP"]}
+_OUT = {"--format": ["json", "csv", "text", "xml"], **_OUTPUT}
 _CURVE = {"--curve": _CURVES, "--q": _Q, "--modulus": ["", "x", "0,1", "1,1", "1,1,1"],
           "--h": _POLYS, "--f": _POLYS}
 _NUM = ["-1", "0", "1", "2", "3", "7", "x"]
 _ARGV_OPTIONS = {
     "analyze": {**_CURVE, "--r": _NUM + ["3,4", ""], **_OUT},
-    "jacobian": {**_CURVE, "--enumerate": None, "--verify-order": None, **_OUT},
+    "jacobian": {**_CURVE, "--enumerate": None, "--verify-order": None, **_OUTPUT},
     "bound": {"--q": _Q + ["1000003"], "--tau": ["-5", "0", "2", "x"], "--pi": _NUM, **_OUT},
-    "attain": {**_CURVE, "--r": _NUM, "--tuples": _NUM, **_OUT},
+    "attain": {**_CURVE, "--r": _NUM, "--tuples": _NUM, **_OUTPUT},
     "search": {"--q": ["-1", "0", "2", "3", "6", "x"], "--modulus": ["x", "0,1", "1,1"],
                "--kind": ["imaginary", "real", "other"], "--r": _NUM + ["3,4"],
                "--exhaustive": None, "--random": None, "--trials": _NUM, "--seed": _NUM,

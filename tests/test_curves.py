@@ -427,6 +427,15 @@ class TestCounting:
         with pytest.raises(BudgetExceededError):
             curve_points(curve_e2, 21)
 
+    def test_k_must_be_a_positive_int(self, curve_e2):
+        # True and 1.0 hash like 1, so a cached count would carry them as k
+        count_points.cache_clear()
+        for k in (True, 1.0, 0):
+            for _ in range(2):  # an exception is never cached
+                with pytest.raises(ValueError):
+                    count_points(curve_e2, k)
+        assert type(count_points(curve_e2, 1).k) is int
+
     def test_extension_count_example_over_f8(self, curve_e2):
         assert count_points(curve_e2, 3).count == 17
 

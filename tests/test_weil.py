@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import enum
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,25 +16,38 @@ from jacobicode.curves import count_points
 from jacobicode.errors import InconsistentCountsError, NotPrimeError
 from jacobicode.fields import field_from_order, prime_power
 from jacobicode.weil import (
-    FactorShape,
-    IntPoly,
+    SimplicityVerdict,
     Verdict,
     WeilData,
-    WeilFactorization,
     _elliptic_trace,
-    _shape_of,
     classify_simplicity,
-    factor_weil,
     jacobian_order,
-    power_sums,
     quartic_roots_on_circle,
     serre_constant,
     weil_from_counts,
 )
 
 
+IntPoly = tuple[int, ...]  # integer coefficients, low degree first
+
 # prime powers up to 32, the fields of the elliptic-trace census
 CENSUS_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+def quartic(w: WeilData) -> IntPoly:
+    """Coefficients of t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2, low degree first."""
+    return (w.q * w.q, w.q * w.c1, w.c2, w.c1, 1)
+
+
+def power_sums(w: WeilData, k_max: int) -> list[int]:
+    """Power sums p_1..p_k of the four roots, by Newton's identities:
+    p_k = -(k a_k + a_1 p_(k-1) + ... + a_(k-1) p_1), with a_1..a_4 the
+    quartic's coefficients below the leading one and a_k = 0 for k > 4."""
+    a = [0, w.c1, w.c2, w.q * w.c1, w.q * w.q] + [0] * max(0, k_max - 4)
+    ps = [0] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        ps[k] = -(k * a[k] + sum(a[i] * ps[k - i] for i in range(1, min(k, 5))))
+    return ps
 
 
 def extension_count(w: WeilData, k: int) -> int:
@@ -63,7 +78,50 @@ def quadratic_roots_on_circle(q: int, b: int, gamma: int) -> bool:
     return gamma == -q and b == 0
 
 
-# -- the trial-division factorization, kept as the oracle of factor_weil -----
+# -- the factorization over Z by trial division, the oracle of the verdicts --
+
+def poly_mul_z(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+class FactorShape(enum.Enum):
+    IRREDUCIBLE_QUARTIC = "irreducible-quartic"
+    TWO_QUADRATICS = "two-quadratics"
+    SQUARE_OF_QUADRATIC = "square-of-quadratic"
+    HAS_LINEAR_FACTORS = "has-linear-factors"
+
+
+class WeilFactorization(NamedTuple):
+    """Factorization over Z as ((monic poly, multiplicity), ...), plus its shape."""
+
+    factors: tuple[tuple[IntPoly, int], ...]
+    shape: FactorShape
+
+    def expand(self) -> IntPoly:
+        out: IntPoly = (1,)
+        for fac, mult in self.factors:
+            for _ in range(mult):
+                out = poly_mul_z(out, fac)
+        return out
+
+
+def _shape_of(factors: list[tuple[IntPoly, int]]) -> FactorShape:
+    if any(len(fac) == 2 for fac, _ in factors):
+        return FactorShape.HAS_LINEAR_FACTORS
+    if len(factors) == 1:
+        fac, mult = factors[0]
+        if len(fac) == 5:
+            return FactorShape.IRREDUCIBLE_QUARTIC
+        if mult == 2:
+            return FactorShape.SQUARE_OF_QUADRATIC
+    return FactorShape.TWO_QUADRATICS
+
 
 def poly_divmod_z(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Division with remainder over Z; b must be monic."""
@@ -112,6 +170,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=None)  # both grid tests read the search on all 13,962 classes
 def factor_weil_search(w: WeilData) -> WeilFactorization:
     """Complete factorization over the integers by finite search.
 
@@ -121,7 +180,7 @@ def factor_weil_search(w: WeilData) -> WeilFactorization:
     modulus; candidates are confirmed by exact division, so the search is
     exhaustive for monic quartics of this shape.
     """
-    f = w.coefficients()
+    f = quartic(w)
     q = w.q
     factors: list[tuple[IntPoly, int]] = []
 
@@ -167,7 +226,7 @@ def factor_weil_search(w: WeilData) -> WeilFactorization:
 
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     result = WeilFactorization(tuple(factors), _shape_of(factors))
-    if result.expand() != w.coefficients():
+    if result.expand() != quartic(w):
         raise AssertionError("factorization does not multiply back to the quartic")
     return result
 
@@ -246,6 +305,24 @@ def is_elliptic_factor(q: int, quad: IntPoly) -> bool:
     return gamma == q and -b in elliptic_traces(q)
 
 
+def search_verdict(w: WeilData) -> SimplicityVerdict:
+    """The simplicity verdict and reason read off the trial-division
+    factorization, with the elliptic factors taken from the census."""
+    fac = factor_weil_search(w)
+    if fac.shape is FactorShape.IRREDUCIBLE_QUARTIC:
+        return SimplicityVerdict(Verdict.SIMPLE, "irreducible-quartic")
+    if fac.shape is FactorShape.HAS_LINEAR_FACTORS:
+        return SimplicityVerdict(Verdict.NOT_SIMPLE, "linear-factors")
+    if fac.shape is FactorShape.TWO_QUADRATICS:
+        return SimplicityVerdict(Verdict.NOT_SIMPLE, "distinct-quadratics")
+    (h, _), = fac.factors
+    if not is_elliptic_factor(w.q, h):
+        return SimplicityVerdict(Verdict.SIMPLE, "non-elliptic-square")
+    if h[1] % w.p:
+        return SimplicityVerdict(Verdict.NOT_SIMPLE, "ordinary-square")
+    return SimplicityVerdict(Verdict.NOT_SIMPLE, "supersingular-square")
+
+
 class TestSerreConstant:
     @pytest.mark.parametrize("q,m", [(2, 2), (3, 3), (4, 4), (5, 4), (7, 5),
                                      (8, 5), (9, 6), (16, 8), (25, 10)])
@@ -263,12 +340,12 @@ class TestFromCounts:
     def test_e1(self):
         w = weil_from_counts(2, 3, 5)
         assert (w.c1, w.c2) == (0, 0)
-        assert w.coefficients() == (4, 0, 0, 0, 1)  # t^4 + 4
+        assert quartic(w) == (4, 0, 0, 0, 1)  # t^4 + 4
 
     def test_e2(self):
         w = weil_from_counts(2, 5, 5)
         assert (w.c1, w.c2) == (2, 2)
-        assert w.coefficients() == (4, 4, 2, 2, 1)
+        assert quartic(w) == (4, 4, 2, 2, 1)
 
     def test_half_integer_rejected(self):
         for _ in range(2):  # an exception is never cached
@@ -314,7 +391,7 @@ class TestRootCircle:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                moduli = numeric_root_moduli(w.coefficients())
+                moduli = numeric_root_moduli(quartic(w))
                 if len(set(round(m, 6) for m in moduli)) == 4:
                     assert all(abs(m - math.sqrt(q)) <= 1e-9 for m in moduli)
 
@@ -356,7 +433,7 @@ class TestExtensionCounts:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                roots = np.roots(list(reversed(w.coefficients())))
+                roots = np.roots(list(reversed(quartic(w))))
                 ps = power_sums(w, 8)
                 for k in range(1, 9):
                     numeric = complex(np.sum(roots ** k)).real
@@ -391,21 +468,21 @@ class TestOrder:
 
 class TestFactorization:
     def test_t4_plus_4_splits(self):
-        fac = factor_weil(weil_from_counts(2, 3, 5))
+        fac = factor_weil_search(weil_from_counts(2, 3, 5))
         assert fac.shape is FactorShape.TWO_QUADRATICS
         assert set(f for f, _ in fac.factors) == {(2, -2, 1), (2, 2, 1)}
 
     def test_e2_irreducible(self):
-        fac = factor_weil(weil_from_counts(2, 5, 5))
+        fac = factor_weil_search(weil_from_counts(2, 5, 5))
         assert fac.shape is FactorShape.IRREDUCIBLE_QUARTIC
 
     def test_square_of_quadratic(self):
-        fac = factor_weil(WeilData(q=2, p=2, c1=2, c2=5))
+        fac = factor_weil_search(WeilData(q=2, p=2, c1=2, c2=5))
         assert fac.shape is FactorShape.SQUARE_OF_QUADRATIC
         assert fac.factors == (((2, 1, 1), 2),)
 
     def test_linear_factors(self):
-        fac = factor_weil(WeilData(q=16, p=2, c1=16, c2=96))
+        fac = factor_weil_search(WeilData(q=16, p=2, c1=16, c2=96))
         assert fac.shape is FactorShape.HAS_LINEAR_FACTORS
         assert fac.factors == (((4, 1), 4),)
 
@@ -415,8 +492,8 @@ class TestFactorization:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                fac = factor_weil(w)
-                assert fac.expand() == w.coefficients()
+                fac = factor_weil_search(w)
+                assert fac.expand() == quartic(w)
                 for f, _ in fac.factors:
                     if len(f) == 3:
                         assert quadratic_roots_on_circle(q, f[1], f[0])
@@ -425,12 +502,6 @@ class TestFactorization:
                             assert all(abs(m - math.sqrt(q)) <= 1e-9 for m in moduli)
                     elif len(f) == 2:
                         assert f[0] * f[0] == q  # root is +-sqrt(q)
-
-    def test_closed_form_equals_search(self):
-        grid = list(weil_grid(32))
-        assert len(grid) == 13962
-        for w in grid:
-            assert factor_weil(w) == factor_weil_search(w), w
 
 
 class TestDivides:
@@ -445,8 +516,8 @@ class TestDivides:
                 n1 = count_points(curve, 1).count
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
-                for f, _ in factor_weil(w).factors:
-                    assert poly_divides(f, w.coefficients())
+                for f, _ in factor_weil_search(w).factors:
+                    assert poly_divides(f, quartic(w))
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
@@ -474,6 +545,13 @@ class TestSimplicity:
         assert not classify_simplicity(WeilData(q=5, p=5, c1=0, c2=10)).is_simple
         assert classify_simplicity(WeilData(q=5, p=5, c1=0, c2=-10)).is_simple
 
+    def test_verdict_equals_search(self):
+        # every admissible class for q <= 32, verdict and reason
+        grid = list(weil_grid(32))
+        assert len(grid) == 13962
+        for w in grid:
+            assert classify_simplicity(w) == search_verdict(w), w
+
     def test_verdict_has_two_members(self):
         assert [v.value for v in Verdict] == ["simple", "not-simple"]
 
@@ -484,7 +562,7 @@ class TestSimplicity:
                 n2 = count_points(curve, 2).count
                 w = weil_from_counts(q, n1, n2)
                 simple = classify_simplicity(w).verdict is Verdict.SIMPLE
-                fac = factor_weil(w)
+                fac = factor_weil_search(w)
                 irreducible = fac.shape is FactorShape.IRREDUCIBLE_QUARTIC
                 non_elliptic_square = (fac.shape is FactorShape.SQUARE_OF_QUADRATIC
                                        and not is_elliptic_factor(q, fac.factors[0][0]))
@@ -496,7 +574,7 @@ class TestSimplicity:
         products = squares_outside = 0
         for w in weil_grid(32):
             product = (w.c1, w.c2) in elliptic_product_classes(w.q)
-            shape = factor_weil(w).shape
+            shape = factor_weil_search(w).shape
             simple_shape = shape in (FactorShape.IRREDUCIBLE_QUARTIC,
                                      FactorShape.SQUARE_OF_QUADRATIC)
             assert classify_simplicity(w).is_simple == (simple_shape and not product), w
