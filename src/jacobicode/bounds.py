@@ -6,7 +6,9 @@ evaluation code on the surface has length the group order, dimension r^2
 at least n - max{N1 + (r^2-1)m, r N1} with m = [2 sqrt(q)].  That
 maximum over the ways a curve can split into components is computed in
 closed form; the exhaustive search over component decompositions that it
-is tested against lives in the tests.  Every entry point accepts only the
+is tested against lives in the tests.  The r N1 branch is the maximum
+exactly when (r + 1) m <= N1, i.e. r <= N1/m - 1, the threshold the report
+carries as exact rational text.  Every entry point accepts only the
 integer radii of that test, 1 <= r <= R_MAX (``check_radii``).
 
 ``code_params`` depends on the isogeny class and r alone, so it is
@@ -19,7 +21,7 @@ immutable NamedTuple.  An exception is never cached, so a radius outside
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
+import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -60,9 +62,13 @@ def support_bound(q: int, n1: int, r: int) -> int:
     return max(n1 + (r * r - 1) * m, r * n1)
 
 
-def distance_threshold(n1: int, q: int) -> Fraction:
-    """The r-threshold N1 / m - 1 below which the r*N1 branch is active."""
-    return Fraction(n1, serre_constant(q)) - 1
+def distance_threshold(n1: int, q: int) -> str:
+    """The r-threshold N1/m - 1 up to which the r*N1 branch is active, as the
+    lowest-terms text "a/b", or "a" for an integer."""
+    m = serre_constant(q)
+    g = math.gcd(n1 - m, m)
+    num, den = (n1 - m) // g, m // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class Branch(enum.Enum):
@@ -71,7 +77,8 @@ class Branch(enum.Enum):
 
 
 class CodeReport(NamedTuple):
-    """Certified parameters of the evaluation code attached to (curve, r)."""
+    """Certified parameters of the evaluation code attached to (curve, r);
+    ``threshold_r`` is the text of ``distance_threshold``."""
 
     q: int
     r: int
@@ -79,7 +86,7 @@ class CodeReport(NamedTuple):
     k: int
     d_lb: int
     branch: Branch
-    threshold_r: Fraction
+    threshold_r: str
     simplicity: SimplicityVerdict
     certified: bool
     warnings: tuple[str, ...]
@@ -92,7 +99,7 @@ class CodeReport(NamedTuple):
             "k": self.k,
             "d_lb": self.d_lb,
             "branch": self.branch.value,
-            "threshold_r": str(self.threshold_r),
+            "threshold_r": self.threshold_r,
             "simplicity": self.simplicity.verdict.value,
             "simplicity_reason": self.simplicity.reason,
             "certified": self.certified,
@@ -116,11 +123,7 @@ def code_params(w: WeilData, r: int) -> CodeReport:
     n = jacobian_order(w)
     k = r * r
     d_lb = n - support_bound(w.q, n1, r)
-    threshold = distance_threshold(n1, w.q)
-    branch = Branch.PHI_R if r <= threshold else Branch.PHI_1
-    if r >= 2:
-        # threshold condition and branch-argmax comparison must agree
-        assert ((r + 1) * m <= n1) == (n1 + (k - 1) * m <= r * n1)
+    branch = Branch.PHI_R if (r + 1) * m <= n1 else Branch.PHI_1
     simplicity = classify_simplicity(w)
 
     warnings: list[str] = []
@@ -133,6 +136,7 @@ def code_params(w: WeilData, r: int) -> CodeReport:
 
     certified = simplicity.is_simple and d_lb > 0
     return CodeReport(
-        q=w.q, r=r, n=n, k=k, d_lb=d_lb, branch=branch, threshold_r=threshold,
+        q=w.q, r=r, n=n, k=k, d_lb=d_lb, branch=branch,
+        threshold_r=distance_threshold(n1, w.q),
         simplicity=simplicity, certified=certified, warnings=tuple(warnings),
     )

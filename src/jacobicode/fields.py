@@ -37,7 +37,7 @@ from .errors import (
 
 SIZE_CAP = 1 << 16
 
-_OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "pow_", "quadratic_roots"})
+_OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "quadratic_roots"})
 _TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, built with the ops
 
 
@@ -145,8 +145,8 @@ class FiniteField:
     Instances compare and hash by ``(p, a, modulus)``.  Operation tables
     are built lazily on first arithmetic use and never mutated afterwards,
     so instances are safe for unrestricted concurrent use.  Every field
-    multiplies, inverts and raises to powers through its discrete-log
-    tables, exposed as the tuples ``log`` and ``exp2`` for hot loops.  With
+    multiplies and inverts through its discrete-log tables, exposed as
+    the tuples ``log`` and ``exp2`` for hot loops.  With
     n = q - 1 and generator g, ``exp2`` holds g^0 .. g^(n-1) twice, then
     2n + 1 zeros, and ``log[0] = 2n``, so every sum of two logs, or of a log
     and 0 <= k <= n, stays in range: ``x * y == exp2[log[x] + log[y]]`` for
@@ -287,15 +287,6 @@ class FiniteField:
                 raise DivisionByZeroError("0 has no inverse")
             return exp2[n - log[x]]
 
-        def pow_(x, e):
-            if x == 0:
-                if e == 0:
-                    return 1
-                if e < 0:
-                    raise DivisionByZeroError("0 has no inverse")
-                return 0
-            return exp2[(log[x] * e) % n]
-
         if p == 2:
             def add(x, y):
                 return x ^ y
@@ -373,7 +364,7 @@ class FiniteField:
                 r = exp2[log[d] >> 1]
                 return (sub(r, m), sub(neg(r), m))
 
-        self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow_=pow_,
+        self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv,
                              quadratic_roots=quadratic_roots, log=log, exp2=exp2)
 
     def _find_generator(self) -> int:
@@ -485,7 +476,8 @@ def field_from_order(q: int, modulus: Iterable[int] | None = None) -> FiniteFiel
 class FieldEmbedding:
     """Ring embedding of F_{p^a} into F_{p^(a*k)}, fixing the prime field.
 
-    The base power-basis generator is sent to the smallest-encoding root of
+    A prime base field, and F_q in itself, keep every encoding.  Otherwise
+    the base power-basis generator is sent to the smallest-encoding root of
     the base modulus inside the extension, which makes the embedding
     deterministic and reproducible.  Calling the embedding maps integer
     encodings; it is a field homomorphism by construction.
@@ -496,29 +488,20 @@ class FieldEmbedding:
             raise ValueError("extension degree must be a multiple of the base degree")
         self.base = base
         self.ext = ext
-        if base.a == 1:
-            self.root = 1  # only the 0th basis power is used
-        elif ext == base:
-            self.root = base.p  # identity: the generator maps to itself
-        else:
-            self.root = self._find_root()
-
-    def _find_root(self) -> int:
-        # the roots are nonzero and lie in the subfield of order q, whose
-        # nonzero elements are the powers of g^((Q-1)/(q-1)); the modulus
-        # has its coefficients in the prime field, encoded alike in both
-        ext, q = self.ext, self.base.q
-        step = (ext.q - 1) // (q - 1)
-        xs = [ext.exp2[j * step] for j in range(q - 1)]
-        return min(x for x, y in zip(xs, ext.values(self.base.modulus, xs)) if y == 0)
 
     @cached_property
     def image(self) -> Sequence[int]:
         """The images of the base field's elements, in encoding order."""
-        if self.ext == self.base:  # the identity: no Horner pass over F_q
-            return self.base.elements()
-        base, values, at = self.base, self.ext.values, (self.root,)
-        return tuple(values(base.coeffs(x), at)[0] for x in range(base.q))
+        base, ext = self.base, self.ext
+        if base.a == 1 or ext == base:
+            return base.elements()
+        # the roots of the base modulus are nonzero and lie in the subfield of
+        # order q, whose nonzero elements are the powers of g^((Q-1)/(q-1));
+        # the modulus has its coefficients in the prime field, encoded alike in both
+        step = (ext.q - 1) // (base.q - 1)
+        xs = [ext.exp2[j * step] for j in range(base.q - 1)]
+        at = (min(x for x, y in zip(xs, ext.values(base.modulus, xs)) if y == 0),)
+        return tuple(ext.values(base.coeffs(x), at)[0] for x in base.elements())
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -538,9 +521,8 @@ class FieldEmbedding:
 
         Ascending, (q^2 - q)/2 elements; quadratic extensions only.
         """
-        q = self.base.q
-        pow_ = self.ext.pow_
-        return tuple(x for x in self.ext.elements() if pow_(x, q) > x)
+        q, log, exp2, n = self.base.q, self.ext.log, self.ext.exp2, self.ext.q - 1
+        return tuple(x for x in range(1, self.ext.q) if exp2[log[x] * q % n] > x)
 
 
 def extend_field(field: FiniteField, k: int, *, allow_large: bool = False) -> FieldEmbedding:

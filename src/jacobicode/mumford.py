@@ -66,10 +66,6 @@ class MumfordDivisor(NamedTuple):
     u: tuple[int, ...]
     v: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.u) - 1
-
     def to_dict(self) -> dict:
         return {"u": list(self.u), "v": list(self.v)}
 

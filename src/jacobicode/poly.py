@@ -145,7 +145,7 @@ def derivative(F: FiniteField, a: Sequence[int]) -> Poly:
     return trim(fmul(a[i], i % p) for i in range(1, len(a)))
 
 
-def to_string(a: Sequence[int], var: str = "x") -> str:
+def to_string(a: Sequence[int]) -> str:
     """Render with caret powers and '+'-separated monomials, high degree first."""
     a = trim(a)
     if not a:
@@ -158,7 +158,7 @@ def to_string(a: Sequence[int], var: str = "x") -> str:
         if i == 0:
             terms.append(str(c))
         else:
-            xp = var if i == 1 else f"{var}^{i}"
+            xp = "x" if i == 1 else f"x^{i}"
             terms.append(xp if c == 1 else f"{c}*{xp}")
     return "+".join(terms)
 

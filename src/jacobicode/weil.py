@@ -44,32 +44,17 @@ def _characteristic(q: int) -> int:
         raise InconsistentCountsError(str(exc)) from None
 
 
-def _nonneg_with_sqrt(a: int, b: int, q: int) -> bool:
-    """Exact test of a + b*sqrt(q) >= 0 for integers a, b."""
-    if a >= 0 and b >= 0:
-        return True
-    if a < 0 and b < 0:
-        return False
-    if b >= 0:  # a < 0
-        return b * b * q >= a * a
-    return a * a >= b * b * q
-
-
 def quartic_roots_on_circle(q: int, c1: int, c2: int) -> bool:
     """Exact check that t^4 + c1 t^3 + c2 t^2 + q c1 t + q^2 has all complex
     roots of modulus sqrt(q).
 
     Writing f(t) = t^2 g(t + q/t) with g(s) = s^2 + c1 s + (c2 - 2q), the
     condition is that g has two real roots in [-2 sqrt(q), 2 sqrt(q)]:
-    non-negative discriminant, vertex inside the interval, and g >= 0 at
-    both endpoints, each testable in integers.
+    non-negative discriminant, vertex -c1/2 inside the interval, and
+    g(+-2 sqrt(q)) = 2q + c2 +- 2 c1 sqrt(q) >= 0, i.e. 2q + c2 >= 2|c1| sqrt(q).
     """
-    if c1 * c1 > 16 * q:
-        return False
-    if c1 * c1 - 4 * c2 + 8 * q < 0:
-        return False
-    return (_nonneg_with_sqrt(2 * q + c2, 2 * c1, q)
-            and _nonneg_with_sqrt(2 * q + c2, -2 * c1, q))
+    return (c1 * c1 - 4 * c2 + 8 * q >= 0 and c1 * c1 <= 16 * q
+            and 2 * q + c2 >= 0 and (2 * q + c2) ** 2 >= 4 * q * c1 * c1)
 
 
 class _WeilFields(NamedTuple):

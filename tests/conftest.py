@@ -30,6 +30,18 @@ def evaluate(F, a, x):
     return acc
 
 
+def power(F, x, e):
+    """x^e for e >= 0 by square-and-multiply on ``F.mul``, apart from the
+    log tables; 0^0 = 1."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = F.mul(acc, x)
+        x = F.mul(x, x)
+        e >>= 1
+    return acc
+
+
 def exact_div(F, a, b):
     """a / b, ValueError on a remainder: the division of Cantor's oracle."""
     q, r = poly.divmod_(F, a, b)

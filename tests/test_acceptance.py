@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -159,7 +160,7 @@ def test_c05_support_bound_oracle_equivalence():
     for q in (2, 3, 4, 5, 7, 8, 9, 16):
         m = serre_constant(q)
         for n1 in range(max(0, q + 1 - 2 * m), q + 2 + 2 * m):
-            threshold = distance_threshold(n1, q)
+            threshold = Fraction(distance_threshold(n1, q))
             for r in range(1, 6):
                 assert support_bound_bruteforce(q, n1, r) == support_bound(q, n1, r)
                 assert (r <= threshold) == ((r + 1) * m <= n1)
@@ -258,7 +259,7 @@ def test_c09_f16_regime_demonstration():
     assert hits, "no curve with N1 >= 32 found over F_16"
     row = hits[0]
     n1 = row.n1
-    assert 3 <= distance_threshold(n1, 16)  # r = 3 <= N1/8 - 1
+    assert 3 <= Fraction(distance_threshold(n1, 16))  # r = 3 <= N1/8 - 1
     rep = row.report
     assert rep.branch is Branch.PHI_R
     assert rep.d_lb == rep.n - 3 * n1 > 0

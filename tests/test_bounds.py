@@ -23,6 +23,7 @@ from jacobicode.bounds import (
 )
 from jacobicode.curves import _x_classes, count_points
 from jacobicode.errors import InvalidRError, TraceHypothesisViolatedError
+from jacobicode.fields import prime_factors
 from jacobicode.mumford import _quadratic_tables
 from jacobicode.weil import Verdict, WeilData, classify_simplicity, serre_constant, \
     weil_from_counts
@@ -217,7 +218,7 @@ class TestCodeParams:
         assert rep.n == 625
         assert rep.d_lb == 625 - 99
         assert rep.branch is Branch.PHI_R
-        assert rep.threshold_r == Fraction(25, 8)
+        assert rep.threshold_r == "25/8"
         assert not rep.certified  # not simple
 
     def test_branch_threshold_equivalence(self):
@@ -227,11 +228,31 @@ class TestCodeParams:
                 for r in range(2, 6):
                     phi1 = n1 + (r * r - 1) * m
                     phir = r * n1
-                    threshold_ok = r <= distance_threshold(n1, q)
+                    threshold_ok = r <= Fraction(distance_threshold(n1, q))
                     assert threshold_ok == ((r + 1) * m <= n1)
                     assert threshold_ok == (phi1 <= phir)
                 # at r = 1 both branches collapse to the same value
                 assert n1 + 0 * m == 1 * n1
+
+    def test_branch_reads_the_threshold_on_the_grid(self):
+        # a tie (r + 1) m = N1, which the grid holds for every q, reads PHI_R
+        for w in weil_grid(16):
+            n1, m = w.q + 1 + w.c1, serre_constant(w.q)
+            for r in range(1, R_MAX + 1):
+                rep = code_params(w, r)
+                phir = r <= Fraction(rep.threshold_r)
+                assert (rep.branch is Branch.PHI_R) == phir, (w, r)
+                if r >= 2:
+                    assert phir == (n1 + (r * r - 1) * m <= r * n1)
+
+    def test_threshold_text_is_the_fraction_text(self):
+        # the Serre window of N1 for every prime power q <= 1024
+        for q in range(2, 1025):
+            if len(prime_factors(q)) != 1:
+                continue
+            m = serre_constant(q)
+            for n1 in range(max(0, q + 1 - 2 * m), q + 2 + 2 * m):
+                assert distance_threshold(n1, q) == str(Fraction(n1, m) - 1), (q, n1)
 
     def test_monotone_in_r(self, corpus):
         for q, curves in corpus.items():

@@ -3,8 +3,8 @@
 A static check with the standard ``ast`` module: an import binds names,
 and each bound name must appear as a loaded ``Name`` in the same module.
 ``__init__.py`` is exempt, as its imports are the package's exports; each
-export must in turn be read by the library, the benchmark or the scripts,
-so that no library code serves the tests alone.  A fresh interpreter
+export must in turn be read by the library or the benchmark, so that no
+library code serves the tests alone.  A fresh interpreter
 checks what ``import jacobicode`` loads.
 """
 
@@ -23,8 +23,7 @@ PACKAGE = ROOT / "src" / "jacobicode"
 LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 # the code outside the tests: an export that none of it reads is test-only
-CONSUMERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) \
-    + sorted((ROOT / "scripts").glob("*.py"))
+CONSUMERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def loaded_names(source: str) -> set[str]:
@@ -104,6 +103,23 @@ def test_weil_factorization_stays_in_the_tests():
                     "power_sums"} & defined, path.name
 
 
+def test_each_exact_decision_is_made_one_way():
+    # the phi_r branch is the integer test (r + 1) m <= N1, the circle four
+    # integer inequalities, x^q a log-table lookup and the embedding's root
+    # a local of ``image``; the sign-case circle test is the tests' oracle
+    for path in LIBRARY + [PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names} \
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        stored = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        assert "fractions" not in imported and "Fraction" not in loaded_names(path.read_text())
+        assert not {"pow_", "_nonneg_with_sqrt", "_find_root"} & defined, path.name
+        assert "root" not in stored, path.name
+
+
 def test_group_law_runs_on_field_scalars():
     # every form of the group law is straight-line on field scalars: the
     # tuple composition is gone, and no helper of the law reads the
@@ -119,9 +135,11 @@ def test_group_law_runs_on_field_scalars():
 
 def test_import_leaves_out_dataclasses():
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
-    # 0.9 MB of allocations in every process that imports the package
-    code = ("import sys, jacobicode; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    # 0.9 MB of allocations in every process that imports the package; the
+    # exact layers decide in integers, so fractions (with decimal and
+    # numbers) stays out too
+    code = ("import sys, jacobicode; print(sorted({'dataclasses', 'inspect', 'ast', "
+            "'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)

@@ -26,6 +26,7 @@ from jacobicode.weil import (
     serre_constant,
     weil_from_counts,
 )
+from conftest import power
 
 
 IntPoly = tuple[int, ...]  # integer coefficients, low degree first
@@ -76,6 +77,26 @@ def quadratic_roots_on_circle(q: int, b: int, gamma: int) -> bool:
     if disc == 0:
         return b * b == 4 * q
     return gamma == -q and b == 0
+
+
+def _nonneg_with_sqrt(a: int, b: int, q: int) -> bool:
+    """Exact test of a + b*sqrt(q) >= 0 for integers a, b, by sign cases."""
+    if a >= 0 and b >= 0:
+        return True
+    if a < 0 and b < 0:
+        return False
+    if b >= 0:  # a < 0
+        return b * b * q >= a * a
+    return a * a >= b * b * q
+
+
+def circle_by_sign_cases(q: int, c1: int, c2: int) -> bool:
+    """The circle criterion with g(+-2 sqrt(q)) >= 0 tested by the sign cases
+    of a + b sqrt(q): the oracle of ``quartic_roots_on_circle``."""
+    if c1 * c1 > 16 * q or c1 * c1 - 4 * c2 + 8 * q < 0:
+        return False
+    return (_nonneg_with_sqrt(2 * q + c2, 2 * c1, q)
+            and _nonneg_with_sqrt(2 * q + c2, -2 * c1, q))
 
 
 # -- the factorization over Z by trial division, the oracle of the verdicts --
@@ -261,11 +282,11 @@ def _weierstrass_models(F):
             for a4 in els:
                 for a6 in els:
                     a2a4 = mul(a2, a4)
-                    if F.sub(mul(a2a4, a2a4), add(F.pow_(a4, 3), mul(F.pow_(a2, 3), a6))):
+                    if F.sub(mul(a2a4, a2a4), add(power(F, a4, 3), mul(power(F, a2, 3), a6))):
                         yield 0, 0, a2, a4, a6
     else:  # y^2 = x^3 + a4 x + a6: 4 a4^3 + 27 a6^2
         yield from ((0, 0, 0, a4, a6) for a4 in els for a6 in els
-                    if add(mul(4 % p, F.pow_(a4, 3)), mul(27 % p, mul(a6, a6))))
+                    if add(mul(4 % p, power(F, a4, 3)), mul(27 % p, mul(a6, a6))))
 
 
 @lru_cache(maxsize=None)
@@ -406,6 +427,21 @@ class TestRootCircle:
         # scatter below 5e-4 (quadruple-root conditioning) while genuine
         # violations deviate by at least 0.17, so 1e-2 separates exactly
         assert claim == (spread < 1e-2)
+
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125,
+                                   243, 256, 1024])
+    def test_integer_criterion_equals_sign_cases(self, q):
+        # every c1 within |c1| <= 2 [2 sqrt(q)] + 1 and every c2 whose
+        # discriminant or endpoint values change sign inside the window
+        m = serre_constant(q)
+        on = 0
+        for c1 in range(-2 * m - 1, 2 * m + 2):
+            for c2 in range(-2 * q - 2, c1 * c1 // 4 + 2 * q + 2):
+                claim = quartic_roots_on_circle(q, c1, c2)
+                assert claim == circle_by_sign_cases(q, c1, c2), (c1, c2)
+                on += claim
+        assert on
 
 
 class TestExtensionCounts:
