@@ -31,8 +31,7 @@ def evaluate(F, a, x):
 
 
 def power(F, x, e):
-    """x^e for e >= 0 by square-and-multiply on ``F.mul``, apart from the
-    log tables; 0^0 = 1."""
+    """x^e for e >= 0 by square-and-multiply on ``F.mul``; 0^0 = 1."""
     acc = 1
     while e:
         if e & 1:

@@ -4,8 +4,8 @@ A static check with the standard ``ast`` module: an import binds names,
 and each bound name must appear as a loaded ``Name`` in the same module.
 ``__init__.py`` is exempt, as its imports are the package's exports; each
 export must in turn be read by the library or the benchmark, so that no
-library code serves the tests alone.  A fresh interpreter
-checks what ``import jacobicode`` loads.
+library code serves the tests alone.  A fresh interpreter checks what
+``import jacobicode`` loads.
 """
 
 from __future__ import annotations

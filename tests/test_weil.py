@@ -428,12 +428,11 @@ class TestRootCircle:
         # violations deviate by at least 0.17, so 1e-2 separates exactly
         assert claim == (spread < 1e-2)
 
-
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125,
                                    243, 256, 1024])
     def test_integer_criterion_equals_sign_cases(self, q):
-        # every c1 within |c1| <= 2 [2 sqrt(q)] + 1 and every c2 whose
-        # discriminant or endpoint values change sign inside the window
+        # c1 one past the Serre bound each way, c2 past each end of the range
+        # -2q <= c2 <= c1^2/4 + 2q that 2q + c2 >= 0 and D >= 0 allow
         m = serre_constant(q)
         on = 0
         for c1 in range(-2 * m - 1, 2 * m + 2):
