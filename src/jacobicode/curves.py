@@ -57,19 +57,22 @@ class CurveModel(NamedTuple):
     ``h`` and ``f`` are coefficient tuples (low degree first, integer
     encodings).  Odd-characteristic models always have ``h == ()``; their
     ``f`` may be non-monic when folding h into the square cancelled part of
-    the leading term of a degree-6 input.  ``kind`` reflects the normalized
-    degree of ``f``: 5 is imaginary (one rational point at infinity),
-    6 is real.  Construct through :func:`validate_curve`.
+    the leading term of a degree-6 input.  ``kind`` is read off the
+    normalized degree of ``f``: 5 is imaginary (one rational point at
+    infinity), 6 is real.  Construct through :func:`validate_curve`.
     """
 
     field: FiniteField
     h: tuple[int, ...]
     f: tuple[int, ...]
-    kind: str
+
+    @property
+    def kind(self) -> str:
+        return IMAGINARY if len(self.f) == 6 else REAL
 
     @property
     def is_imaginary(self) -> bool:
-        return self.kind == IMAGINARY
+        return len(self.f) == 6
 
     def to_dict(self) -> dict:
         return {"field": self.field.to_dict(), "h": list(self.h), "f": list(self.f)}
@@ -131,8 +134,7 @@ def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> Cu
                 lhs = field.mul(field.mul(h2, h2), poly.coefficient(f, 6))
                 if lhs == field.mul(f5, f5):
                     raise SingularModelError("singular point at infinity")
-        kind = IMAGINARY if df == 5 else REAL
-        return CurveModel(field, h, f, kind)
+        return CurveModel(field, h, f)
 
     # odd characteristic: fold h away via y -> y + h/2
     if h:
@@ -140,15 +142,13 @@ def validate_curve(field: FiniteField, h: Sequence[int], f: Sequence[int]) -> Cu
         g = poly.add(field, f, poly.scale(field, poly.mul(field, h, h), inv4))
     else:
         g = f
-    dg = poly.degree(g)
-    if dg < 5:
+    if poly.degree(g) < 5:
         raise GenusNotTwoError(
             "completing the square left degree < 5; the model has genus < 2")
     gp = poly.derivative(field, g)
     if poly.degree(poly.gcd(field, g, gp)) >= 1:
         raise SingularModelError("right-hand side is not squarefree")
-    kind = IMAGINARY if dg == 5 else REAL
-    return CurveModel(field, (), g, kind)
+    return CurveModel(field, (), g)
 
 
 def _check_budget(curve: CurveModel, k: int) -> None:

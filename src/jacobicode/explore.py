@@ -3,7 +3,7 @@
 Spaces are either exhaustive (every coefficient tuple, in ascending
 encoding order) or random (a seeded stream of coefficient draws).  Every
 consumer runs one path: ``_unique`` skips repeated random draws, ``_curves``
-decodes and validates each candidate and keeps those of the space's kind,
+decodes each candidate and keeps those that validate, all of the space's kind,
 and ``analyze_curve`` runs the whole pipeline on each: count over F_q and
 F_{q^2}, Weil data, simplicity, and one code report per requested radius.
 Tables sort by (certified, distance bound, length) descending with a
@@ -143,15 +143,15 @@ def _unique(space: SearchSpace) -> Iterator[tuple[int, int]]:
 
 def _curves(space: SearchSpace, encodings: Iterable[tuple[int, int]]
             ) -> Iterator[CurveModel]:
-    """The valid models of the space's kind among the encoded candidates."""
+    """The valid models among the encoded candidates; validation keeps the
+    degree of f, so each has the space's kind (odd spaces draw h = 0)."""
     for h_enc, f_enc in encodings:
         h, f = _decode_candidate(space, h_enc, f_enc)
         try:
             curve = validate_curve(space.field, h, f)
         except (WrongDegreeError, SingularModelError, GenusNotTwoError):
             continue
-        if curve.kind == space.kind:  # a degree-6 input can normalize to imaginary
-            yield curve
+        yield curve
 
 
 class TableRow(NamedTuple):

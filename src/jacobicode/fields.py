@@ -73,14 +73,7 @@ def _undigits(c: Sequence[int], p: int) -> int:
     return x
 
 
-def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     """(a*b) mod m over F_p; m monic."""
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
@@ -90,7 +83,8 @@ def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> tu
     return _pmod(prod, m, p)
 
 
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """a mod m over F_p, untrimmed (at most deg m coefficients); m monic."""
     a = list(a)
     dm = len(m) - 1
     while len(a) > dm:
@@ -100,7 +94,7 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
             for i in range(dm):
                 a[shift + i] = (a[shift + i] - lead * m[i]) % p
         a.pop()
-    return _ptrim(a)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +110,7 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for enc in range(p ** d):
             cand = _digits(enc, p, d) + (1,)
-            if not _pmod(m, cand, p):
+            if not any(_pmod(m, cand, p)):
                 return False
     return True
 

@@ -2,13 +2,13 @@
 
 Divisor classes are held in Mumford form (u, v): u monic of degree at most
 2, deg v < deg u, and u dividing v^2 + h v - f.  The group law is in
-closed form for every pair, straight-line on field scalars.  It adds two
-classes with coprime u, and doubles a class whose u is coprime to 2v + h,
-by explicit formulas whatever the degrees (a point doubled is its
-tangent, two points the line through them).  Classes whose u share a
-root a read the sum off the points over a, and a double at a Weierstrass
-point is the tangent at the other point.  Cantor's composition and
-reduction is the tests' oracle for all of it.
+closed form for every pair, straight-line on field scalars, by one rule
+on the resultant of u2 and w = u1 mod u2 (or (v1 + v2 + h) mod u for
+equal u).  When it is nonzero, explicit formulas add or double whatever
+the degrees (a point doubled is its tangent, two points the line through
+them); when it is 0, u1 and u2 share a root a and the sum is read off the
+points over a, a double at a Weierstrass point over a being the tangent
+at the other point.  Cantor's algorithm is the tests' oracle for it all.
 
 The whole group is enumerated by solving the divisibility condition per
 u: v must take a root y of y^2 + h(x) y = f(x) at each root x of u
@@ -106,12 +106,12 @@ def _require_imaginary(curve: CurveModel) -> None:
 def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     """Group law on reduced classes, in closed form for every pair.
 
-    The identity and a class plus its negative are read off directly.  Two
-    classes with coprime u, and a double whose u is coprime to 2v + h,
-    take one composition and at most one reduction step (Lange 2005,
-    affine, any h; ``_explicit_sum``, and ``_point_sum`` for a point).
-    Every other pair has a common root a of u1 and u2 in F_q, and the
-    points over a give the sum (``_shared_root``, ``_split_double``).
+    The identity and a class plus its negative are read off directly.  On
+    every other pair r = Res(u2, w) decides: r != 0 takes one composition
+    and at most one reduction step (Lange 2005, affine, any h;
+    ``_explicit_sum``, and ``_point_sum`` for a point); r = 0 means a common
+    root a of u1 and u2 in F_q, and the points over a give the sum
+    (``_shared_root``), save 2(P + W) = 2P for a Weierstrass point W over a.
     Those forms, the line through two points and the tangent at a point
     skip the exact division of a composition, so they check every point
     they read on the curve; they and an inexact division raise
@@ -137,21 +137,21 @@ def cantor_add(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> Mum
 def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     """d1 + d2, deg u1 <= deg u2: one composition, at most one reduction step.
 
-    The identity when u1 == u2 and v1 + v2 + h = 0 mod u.  Otherwise V
-    solves V = v1 mod u1 and, modulo m, V = v2 (add: m = u2 != u1) or
-    V = v1 to second order (double: v1 == v2, m = u):
+    The identity when u1 == u2 and w = (v1 + v2 + h) mod u is 0; else
+    w = u1 mod u2 for distinct u, and r = Res(m, w), m = u2.  When r != 0,
+    V solves V = v1 mod u1 and, modulo m, V = v2 (add: u2 != u1) or V = v1
+    to second order (double: d1 == d2):
 
     * add: V = v1 + s u1 with s = (v2 - v1) / u1 mod u2;
     * double: V = v + s u with s = k / (2v + h) mod u, k = (f - h v - v^2) / u.
 
-    With U = u1 m, a composition of degree 2 (two points with distinct x,
-    or a point doubled) is already reduced and (U, V) is the sum.
-    Otherwise the sum is u' = monic((f - h V - V^2) / U) and
-    v' = (-h - V) mod u'; u' has degree 1 when deg U = 4 and s is
-    constant.  When the divisor w of s shares a root x0 with m (their
-    resultant is 0), u1 and u2 share x0 (``_shared_root``), or a double of
-    P + W has its Weierstrass point W over x0: 2W = 0, so the sum is the
-    tangent at P.  Equal u with unrelated v go to ``_split_double``.
+    With U = u1 m of degree 4 the sum is u' = monic((f - h V - V^2) / U)
+    and v' = (-h - V) mod u'; u' has degree 1 when s is constant.  With
+    r != 0, equal u and v1 != v2 raise InvalidDivisorError: valid classes
+    so shaped are opposite over a root of u, where w vanishes.  When
+    r = 0, w and m share the root x0: a double of P + W has its
+    Weierstrass point W over x0, so the sum is the tangent at P, and any
+    other pair has the points over x0 to give the sum (``_shared_root``).
 
     Every form runs straight-line on scalars, with the field's add, sub,
     mul and inv only and one body for every field.  For two degree-2
@@ -170,31 +170,36 @@ def _explicit_sum(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> 
     b0, b1, _ = d2.u
     p0, p1 = (d1.v + (0, 0))[:2]
     q0, q1 = (d2.v + (0, 0))[:2]
-    if d1.u == d2.u:
+    same_u = d1.u == d2.u
+    if same_u:
         # w = (v1 + v2 + h) mod u
         w0 = add(add(p0, q0), sub(h0, mul(h2, a0)))
         w1 = add(add(p1, q1), sub(h1, mul(h2, a1)))
         if not (w0 or w1):
             return IDENTITY
-        if d1.v != d2.v:
-            return _split_double(curve, d1, d2)
-        t0, t1 = _quotient_mod_u(curve, d1)  # t = k mod u
     else:
         w0, w1 = sub(a0, b0), sub(a1, b1)  # w = u1 mod u2
-        t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
 
-    # s = t / w mod m = t (j0 - w1 x) / r mod m, j0 = w0 - w1 m1, r = Res(m, w)
+    # r = Res(m, w), m = u2, with j0 = w0 - w1 m1
     j0 = sub(w0, mul(w1, b1))
     r = add(mul(w0, j0), mul(mul(w1, w1), b0))
     if not r:  # w1 != 0, or r = w0^2
         x0 = mul(F.neg(w0), F.inv(w1))
-        if d1.u != d2.u:
+        if d1 != d2:
             return _shared_root(curve, d1, d2, x0)
         a = sub(F.neg(a1), x0)
         if a == x0:
             raise InvalidDivisorError("u has a double root at a Weierstrass point")
         _on_curve(curve, x0, add(p0, mul(p1, x0)))  # W
         return _double_point(curve, a, add(p0, mul(p1, a)))
+    if not same_u:
+        t0, t1 = sub(q0, p0), sub(q1, p1)  # t = v2 - v1
+    elif d1.v == d2.v:
+        t0, t1 = _quotient_mod_u(curve, d1)  # t = k mod u
+    else:
+        raise InvalidDivisorError("v1 and v2 are opposite at no root of u but are not negatives")
+
+    # s = t / w mod m = t (j0 - w1 x) / r mod m
     ri = F.inv(r)
     s1 = mul(sub(mul(t1, w0), mul(t0, w1)), ri)
     s0 = mul(add(mul(t0, j0), mul(mul(t1, w1), b0)), ri)
@@ -323,18 +328,19 @@ def _cubic_sum(curve: CurveModel, d: MumfordDivisor, a: int, c: int) -> MumfordD
 
 def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
                  a: int) -> MumfordDivisor:
-    """d1 + d2 for u1 != u2 with the common root a, deg u1 <= deg u2 = 2.
+    """d1 + d2 for d1 != d2 with the common root a, deg u1 <= deg u2 = 2.
 
     The classes hold points (a, y1) and (a, y2), and u2 has the other root
-    b2 = -u2_1 - a (u1 likewise b1).  Opposite points cancel: the sum is
-    the line through (b1, v1(b1)) and (b2, v2(b2)), or the point
-    (b2, v2(b2)) when u1 = x - a; each point read, and the slope of a
-    class with a double root at a, is checked on the curve.  The same
-    point P twice takes one composition V = v1 + s u1, u1 the operand with
-    the higher multiplicity at a: s(a) = k1(a) / (2y + h(a)) lifts it to
-    second order at a (the double's s) and s(b2) = (v2 - v1)(b2) / u1(b2)
-    passes it through v2 (the add's s); for a point plus a class, s is the
-    constant lift of the class.  The division by U = u1 u2 checks both.
+    b2 = -u2_1 - a (u1 likewise b1).  Opposite points cancel, which equal u
+    always have: the sum is the line through (b1, v1(b1)) and (b2, v2(b2)),
+    the tangent at that one point when b1 == b2, or the point (b2, v2(b2))
+    when u1 = x - a; each point read, and the slope of a class with a
+    double root at a, is checked on the curve.  The same point P twice
+    takes one composition V = v1 + s u1, u1 the operand with the higher
+    multiplicity at a: s(a) = k1(a) / (2y + h(a)) lifts it to second order
+    at a (the double's s) and s(b2) = (v2 - v1)(b2) / u1(b2) passes it
+    through v2 (the add's s); for a point plus a class, s is the constant
+    lift of the class.  The division by U = u1 u2 checks both.
     """
     F = curve.field
     add, sub, mul, neg, inv, at = F.add, F.sub, F.mul, F.neg, F.inv, F.values
@@ -347,7 +353,9 @@ def _shared_root(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor,
             return MumfordDivisor((neg(b2), 1), (z2,) if z2 else ())
         b1 = sub(neg(d1.u[1]), a)
         z1 = _remaining_point(curve, d1, a, b1, y1)
-        slope = mul(sub(z1, z2), inv(sub(b1, b2)))  # b1 != b2, as u1 != u2
+        if b1 == b2:  # u1 == u2: z1 == z2, else v1 + v2 + h would vanish at a and b
+            return _double_point(curve, b1, z1)
+        slope = mul(sub(z1, z2), inv(sub(b1, b2)))
         return _quadratic_class(mul(b1, b2), neg(add(b1, b2)), sub(z1, mul(slope, b1)), slope)
     if y2 != y1:
         raise InvalidDivisorError("a point over a common root of u1 and u2 is off the curve")
@@ -373,28 +381,6 @@ def _remaining_point(curve: CurveModel, d: MumfordDivisor, a: int, b: int, y: in
     elif d != _double_point(curve, a, y):
         raise InvalidDivisorError("v does not follow the curve to second order at a double root of u")
     return z
-
-
-def _split_double(curve: CurveModel, d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
-    """d1 + d2 for equal u and v1 != v2 that are not negatives.
-
-    Valid classes of that shape share one point P at the simple root a of
-    u where v1 - v2 vanishes, and hold opposite points at the other root
-    b, so the sum is the tangent at P.  Any other shape, or a point read
-    off the curve, raises InvalidDivisorError.
-    """
-    F = curve.field
-    sub = F.sub
-    (p0, p1), (q0, q1) = (d1.v + (0, 0))[:2], (d2.v + (0, 0))[:2]
-    if p1 == q1:
-        raise InvalidDivisorError("v1 and v2 differ at both roots of u but are not negatives")
-    a = F.mul(sub(q0, p0), F.inv(sub(p1, q1)))
-    b = sub(F.neg(d1.u[1]), a)
-    if a == b or F.values(d1.u, (a,))[0]:
-        raise InvalidDivisorError("v1 - v2 does not vanish at a simple root of u")
-    for z in F.values(d1.v, (b,)) + F.values(d2.v, (b,)):
-        _on_curve(curve, b, z)
-    return _double_point(curve, a, F.values(d1.v, (a,))[0])
 
 
 def _double_point(curve: CurveModel, a: int, y: int) -> MumfordDivisor:

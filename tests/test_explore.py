@@ -10,7 +10,14 @@ import pytest
 
 from jacobicode import explore
 from jacobicode.curves import validate_curve
-from jacobicode.errors import InvalidRError, JacobicodeError, SpaceTooLargeError
+from jacobicode.errors import (
+    GenusNotTwoError,
+    InvalidRError,
+    JacobicodeError,
+    SingularModelError,
+    SpaceTooLargeError,
+    WrongDegreeError,
+)
 from jacobicode.explore import (
     RANDOM,
     SearchSpace,
@@ -19,7 +26,7 @@ from jacobicode.explore import (
     best_codes,
     csv_row,
 )
-from jacobicode.fields import make_field
+from jacobicode.fields import field_from_order, make_field
 from conftest import enumerate_curves
 
 
@@ -109,6 +116,28 @@ class TestEnumeration:
         space = SearchSpace(field=F3, kind="real")
         curves = list(enumerate_curves(space))
         assert curves and all(c.kind == "real" for c in curves)
+
+    @pytest.mark.parametrize("kind", ["imaginary", "real"])
+    def test_every_accepted_candidate_has_the_space_kind(self, kind):
+        # _curves keeps what validates, with no kind filter: a candidate's f
+        # is monic of the space's degree and odd spaces draw h = 0, so
+        # validation cannot change the kind; every candidate of the
+        # exhaustive F_2 and F_3 spaces, and 200 seeded draws per field
+        spaces = [SearchSpace(field=field_from_order(q), kind=kind) for q in (2, 3)]
+        spaces += [SearchSpace(field=field_from_order(q), kind=kind, mode=RANDOM,
+                               seed=500 + q, trials=200)
+                   for q in (4, 5, 7, 8, 9, 16, 25, 27)]
+        for space in spaces:
+            accepted = 0
+            for h_enc, f_enc in explore.candidate_encodings(space):
+                h, f = explore._decode_candidate(space, h_enc, f_enc)
+                try:
+                    curve = validate_curve(space.field, h, f)
+                except (WrongDegreeError, SingularModelError, GenusNotTwoError):
+                    continue
+                assert curve.kind == kind, (space, h, f)
+                accepted += 1
+            assert accepted, space
 
 
 class TestBestCodes:

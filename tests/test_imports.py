@@ -128,9 +128,28 @@ def test_group_law_runs_on_field_scalars():
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_sum_tuples" not in bodies
     for name in ("_explicit_sum", "_point_sum", "_cubic_sum", "_sum_scalars", "_shared_root",
-                 "_split_double", "_remaining_point", "_on_curve", "_quotient_mod_u"):
+                 "_remaining_point", "_on_curve", "_quotient_mod_u"):
         read = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
         assert not {"poly", "_norm"} & read, name
+
+
+def defined_functions(path: Path) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of a library module, by name."""
+    return {node.name: node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_form_per_concept():
+    # every degree-2 pair with a common root reads the sum off the points
+    # over it in _shared_root; the field bootstrap trims nothing of its own
+    # (poly.trim is the one trim); a model's kind is read off deg f; and
+    # the search keeps every model that validates, which has the space's kind
+    from jacobicode.curves import CurveModel
+    assert "_split_double" not in defined_functions(PACKAGE / "mumford.py")
+    assert "_ptrim" not in defined_functions(PACKAGE / "fields.py")
+    assert CurveModel._fields == ("field", "h", "f")
+    curves = defined_functions(PACKAGE / "explore.py")["_curves"]
+    assert "kind" not in loaded_names(ast.unparse(curves))
 
 
 def test_import_leaves_out_dataclasses():

@@ -603,7 +603,7 @@ class TestEnumeration:
         # bypass validation: y^2 + xy = x^5 is singular at the origin, where
         # every slope lifts the double root, so the enumeration cannot agree
         # with any genus-2 zeta data
-        bad = CurveModel(field=f2, h=(0, 1), f=(0, 0, 0, 0, 0, 1), kind="imaginary")
+        bad = CurveModel(field=f2, h=(0, 1), f=(0, 0, 0, 0, 0, 1))
         with pytest.raises((OrderMismatchError, InconsistentCountsError)):
             enumerate_jacobian(bad)
 
@@ -654,7 +654,7 @@ class TestScanOracle:
                 validate_curve(F, h, f)
             except (SingularModelError, GenusNotTwoError):
                 singular += 1
-            bad = CurveModel(field=F, h=h, f=f, kind="imaginary")
+            bad = CurveModel(field=F, h=h, f=f)
             solved = solved_jacobian(bad)
             assert solved == scan_jacobian(bad)
             # only a singular point lifts to more than 4 classes over one u
