@@ -204,28 +204,29 @@ def count_points(curve: CurveModel, k: int = 1) -> PointCount:
     E, hh, ff = emb.ext, emb.map_poly(curve.h), emb.map_poly(curve.f)
     # a real model has the roots z of z^2 + h3 z = f6 on the chart at infinity
     total = 1 if curve.is_imaginary else len(E.quadratic_roots(poly.coefficient(hh, 3), ff[6]))
-    for weight, xs in classes:
-        total += weight * _roots_above(E, hh, ff, xs, neg2)
-    return PointCount(k, total)
+    return PointCount(k, total + _roots_above(E, hh, ff, classes, neg2))
 
 
-def _roots_above(E: FiniteField, hh, ff, xs, neg2) -> int:
-    """Number of roots y in E of y^2 + h(x)y = f(x), summed over the x of xs.
+def _roots_above(E: FiniteField, hh, ff, classes, neg2) -> int:
+    """Number of roots y in E of y^2 + h(x)y = f(x), summed over the x of
+    each class, times its weight.
 
-    xs is one class of ``_x_classes(field, k)``, which caches the rows and
-    neg2 per (field, k).  The caller multiplies the sum by the class's
-    weight: the curve is defined over F_q, so the conjugates an x stands for
-    have as many roots above them as x.  In characteristic 2, xs holds the
-    power-log row of each x: r_i = log x^i, 2n for x = 0, n = #E - 1.  A
-    term c x^i is then ``exp2[log[c] + r_i]``, one lookup whose index is at
-    most 4n, inside the zero tail even when c or x is 0.  Two roots lie
-    above x iff z^2 + z = f(x)/h(x)^2 is solvable, read as
+    classes and neg2 come from ``_x_classes(field, k)``, which caches them
+    per (field, k).  An x of weight w stands for w conjugates, and the curve
+    is defined over F_q, so each has as many roots above it as x.  In
+    characteristic 2, a class holds the power-log row of each x: r_i = log
+    x^i, 2n for x = 0, n = #E - 1.  A term c x^i is then
+    ``exp2[log[c] + r_i]``, one lookup whose index is at most 4n, inside
+    the zero tail even when c or x is 0.  Two roots lie above x iff
+    z^2 + z = f(x)/h(x)^2 is solvable, read as
     ``solvable[exp2[log[fx] + neg2[hx]]]``; fx = 0 lands in the zero tail,
-    where z = 0 solves it.  Imaginary models (f monic of degree 5, deg h <= 2)
-    run an unrolled loop; real ones the same loop padded to degrees 6 and 3.
+    where z = 0 solves it.  Imaginary models (f monic of degree 5,
+    deg h <= 2) run an unrolled loop; real ones the same loop padded to
+    degrees 6 and 3.
 
-    In odd characteristic xs holds the x themselves, h = 0, and f is
-    evaluated by Horner on the log tables.
+    In odd characteristic a class holds the x themselves, h = 0, and f is
+    evaluated by Horner on the log tables, each step t + c by the Zech rule
+    of ``FiniteField.add``.
     """
     log, exp2 = E.log, E.exp2
     total = 0
@@ -235,36 +236,41 @@ def _roots_above(E: FiniteField, hh, ff, xs, neg2) -> int:
         f0, f1, f2, f3, f4, f5 = ff[:6]
         lh1, lh2, lh3 = log[h1], log[h2], log[h3]
         lf1, lf2, lf3, lf4, lf5 = log[f1], log[f2], log[f3], log[f4], log[f5]
-        if len(ff) == 6:  # imaginary: x^5 is exp2[r5]
-            for r1, r2, r3, r4, r5, _ in xs:
-                hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2]
-                if hx == 0:  # y^2 = f(x): squaring is bijective
-                    total += 1
-                    continue
-                fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
-                      ^ exp2[lf4 + r4] ^ exp2[r5])
-                if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
-                    total += 2
-        else:  # real: f is monic of degree 6, so x^6 is exp2[r6]
-            for r1, r2, r3, r4, r5, r6 in xs:
-                hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2] ^ exp2[lh3 + r3]
-                if hx == 0:
-                    total += 1
-                    continue
-                fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
-                      ^ exp2[lf4 + r4] ^ exp2[lf5 + r5] ^ exp2[r6])
-                if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
-                    total += 2
+        for weight, xs in classes:
+            twice = 2 * weight
+            if len(ff) == 6:  # imaginary: x^5 is exp2[r5]
+                for r1, r2, r3, r4, r5, _ in xs:
+                    hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2]
+                    if hx == 0:  # y^2 = f(x): squaring is bijective
+                        total += weight
+                        continue
+                    fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
+                          ^ exp2[lf4 + r4] ^ exp2[r5])
+                    if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
+                        total += twice
+            else:  # real: f is monic of degree 6, so x^6 is exp2[r6]
+                for r1, r2, r3, r4, r5, r6 in xs:
+                    hx = h0 ^ exp2[lh1 + r1] ^ exp2[lh2 + r2] ^ exp2[lh3 + r3]
+                    if hx == 0:
+                        total += weight
+                        continue
+                    fx = (f0 ^ exp2[lf1 + r1] ^ exp2[lf2 + r2] ^ exp2[lf3 + r3]
+                          ^ exp2[lf4 + r4] ^ exp2[lf5 + r5] ^ exp2[r6])
+                    if solvable[exp2[log[fx] + neg2[hx]]] >= 0:
+                        total += twice
     else:
-        f_lead, f_rest = ff[-1], ff[-2::-1]  # Horner from the nonzero leading term
-        add = E.add
-        for x in xs:
-            lx = log[x]
-            fx = f_lead
-            for c in f_rest:
-                fx = add(exp2[log[fx] + lx], c)
-            if fx == 0:
-                total += 1
-            elif log[fx] & 1 == 0:  # even power of the generator: a square
-                total += 2
+        zech, two_n = E.zech, 2 * (E.q - 1)
+        f_lead, f_rest = ff[-1], [log[c] + two_n for c in ff[-2::-1]]
+        for weight, xs in classes:
+            twice = 2 * weight
+            for x in xs:
+                lx = log[x]
+                fx = f_lead
+                for c2 in f_rest:
+                    lt = log[exp2[log[fx] + lx]]
+                    fx = exp2[lt + zech[c2 - lt]]
+                if fx == 0:
+                    total += weight
+                elif log[fx] & 1 == 0:  # even power of the generator: a square
+                    total += twice
     return total

@@ -10,9 +10,10 @@ tables, which is what keeps exhaustive verification affordable in pure
 Python.  ``FiniteField.values`` evaluates a polynomial at many points by
 Horner on the tables; the group enumeration and the embeddings use it.
 In odd characteristic the same tables decide squares and give square
-roots: a nonzero x is a square iff log x is even.  Odd extension fields
-with q <= 1024 also keep a q x q addition table, composed row by row from
-carry-free single-digit steps.
+roots: a nonzero x is a square iff log x is even.  Every odd field also
+adds through a table of Zech logarithms, log(1 + g^k), built in O(q) since
+1 + x only steps the lowest digit of x; odd extension fields add and
+subtract by it at every size, with no q x q table and no digit loop.
 
 Default moduli are generated deterministically: for ``a >= 2`` the modulus
 of F_{p^a} is the first monic irreducible polynomial of degree ``a`` when
@@ -38,7 +39,7 @@ from .errors import (
 SIZE_CAP = 1 << 16
 
 _OP_NAMES = frozenset({"add", "sub", "neg", "mul", "inv", "quadratic_roots"})
-_TABLE_NAMES = frozenset({"log", "exp2"})  # discrete-log tables, built with the ops
+_TABLE_NAMES = frozenset({"log", "exp2", "zech"})  # built with the ops; zech in odd p only
 
 
 def prime_factors(n: int) -> list[int]:
@@ -148,15 +149,19 @@ class FiniteField:
     taken mod n (powers, square roots) still needs x != 0.  In odd
     characteristic a nonzero x is a square iff ``log[x]`` is even, with
     square root ``exp2[log[x] >> 1]``.  Addition is XOR in
-    characteristic 2, reduction mod p in prime fields, and digitwise mod p
-    otherwise, from a q x q table when q <= 1024: row x is row x - p^i, for
-    the lowest nonzero digit place p^i of x, mapped through the carry-free
-    permutation y -> y + p^i.  ``quadratic_roots(b, c)``, installed with the
-    ops, returns the distinct roots y of y^2 + b*y = c: in characteristic 2
-    y = sqrt(c) = c^(q/2) when b = 0, else y = b*z with z^2 + z = c/b^2,
-    read off ``artin_schreier_roots`` (built on first use); in odd
-    characteristic (y + b/2)^2 = c + (b/2)^2, and the square root comes off
-    the log tables.
+    characteristic 2 and reduction mod p in prime fields.  Every odd field
+    also has the tuple ``zech`` of 4n + 1 Zech logarithms, with which
+    ``x + y == exp2[log[x] + zech[log[y] - log[x] + 2n]]`` for all x and
+    y, 0 included: zech[j] is j - 2n for j < n (x = 0 gives back y),
+    log(1 + g^(j - 2n)) for n <= j < 3n, with log 0 = 2n where that sum is
+    0, and 0 from 3n on (y = 0 gives back x).  Odd extension fields add by
+    this rule, subtract by it with -y = ``exp2[log[y] + n/2]``, and the
+    Horner loops take the same step inline.  ``quadratic_roots(b, c)``,
+    installed with the ops, returns the distinct roots y of y^2 + b*y = c:
+    in characteristic 2 y = sqrt(c) = c^(q/2) when b = 0, else y = b*z with
+    z^2 + z = c/b^2, read off ``artin_schreier_roots`` (built on first use);
+    in odd characteristic y = +-c^(1/2) off the logs when b = 0, else
+    (y + b/2)^2 = c + (b/2)^2, and the square root comes off the log tables.
     """
 
     def __init__(self, p: int, a: int, modulus: Sequence[int] | None = None,
@@ -255,9 +260,9 @@ class FiniteField:
     # -- lazy operation tables ----------------------------------------------
 
     def __getattr__(self, name: str):
-        if name in _OP_NAMES or name in _TABLE_NAMES:
+        if (name in _OP_NAMES or name in _TABLE_NAMES) and "log" not in self.__dict__:
             self._install_ops()
-            return self.__dict__[name]
+            return getattr(self, name)
         raise AttributeError(name)
 
     def _install_ops(self) -> None:
@@ -281,6 +286,7 @@ class FiniteField:
                 raise DivisionByZeroError("0 has no inverse")
             return exp2[n - log[x]]
 
+        tables = {"log": log, "exp2": exp2}
         if p == 2:
             def add(x, y):
                 return x ^ y
@@ -289,44 +295,34 @@ class FiniteField:
 
             def neg(x):
                 return x
-        elif a == 1:
-            def add(x, y):
-                return (x + y) % p
-
-            def sub(x, y):
-                return (x - y) % p
-
-            def neg(x):
-                return (-x) % p
         else:
-            negtab = [_undigits([(p - c) % p for c in self.coeffs(x)], p)
-                      for x in range(q)]
+            # Zech logs: x + y = x (1 + y/x), and 1 + g^k steps the lowest digit
+            # of g^k, carry-free; zech[j] = log(1 + g^(j - 2n)) for n <= j < 3n
+            ones = tuple(log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp)
+            zech = tuple(range(-2 * n, -n)) + ones + ones + (0,) * (n + 1)
+            tables["zech"] = zech
+            two_n, log_minus_one = 2 * n, n // 2
 
-            def neg(x):
-                return negtab[x]
-
-            if q <= 1024:
-                places = [p ** i for i in range(a)]
-                steps = [[y - (p - 1) * pi if y // pi % p == p - 1 else y + pi
-                          for y in range(q)] for pi in places]  # y + p^i, no carry
-                addtab = [list(range(q))]
-                for x in range(1, q):  # p^i: the lowest nonzero digit place of x
-                    step, pi = next((s, pi) for s, pi in zip(steps, places) if x // pi % p)
-                    addtab.append([step[z] for z in addtab[x - pi]])
-
+            if a == 1:
                 def add(x, y):
-                    return addtab[x][y]
+                    return (x + y) % p
 
                 def sub(x, y):
-                    return addtab[x][negtab[y]]
+                    return (x - y) % p
+
+                def neg(x):
+                    return (-x) % p
             else:
                 def add(x, y):
-                    cx = _digits(x, p, a)
-                    cy = _digits(y, p, a)
-                    return _undigits([(u + v) % p for u, v in zip(cx, cy)], p)
+                    lx = log[x]
+                    return exp2[lx + zech[log[y] - lx + two_n]]
 
                 def sub(x, y):
-                    return add(x, negtab[y])
+                    lx = log[x]
+                    return exp2[lx + zech[log[exp2[log[y] + log_minus_one]] - lx + two_n]]
+
+                def neg(x):
+                    return exp2[log[x] + log_minus_one]
 
         # the distinct roots y of y^2 + b y = c, for any b and c
         if p == 2:
@@ -347,6 +343,13 @@ class FiniteField:
             log_half = log[(p + 1) // 2]  # 1/2 lies in the prime field
 
             def quadratic_roots(b, c):
+                if not b:  # every odd-characteristic model has h = 0
+                    if not c:
+                        return (0,)
+                    lc = log[c]
+                    if lc & 1:
+                        return ()
+                    return (exp2[lc >> 1], exp2[(lc >> 1) + log_minus_one])
                 # complete the square: (y + m)^2 = d with m = b/2, d = c + m^2;
                 # a nonzero d is a square iff log d is even
                 m = exp2[log[b] + log_half]
@@ -358,8 +361,8 @@ class FiniteField:
                 r = exp2[log[d] >> 1]
                 return (sub(r, m), sub(neg(r), m))
 
-        self.__dict__.update(add=add, sub=sub, neg=neg, mul=mul, inv=inv,
-                             quadratic_roots=quadratic_roots, log=log, exp2=exp2)
+        self.__dict__.update(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv,
+                             quadratic_roots=quadratic_roots)
 
     def _find_generator(self) -> int:
         q = self.q
@@ -374,10 +377,12 @@ class FiniteField:
         """The values at the xs of the polynomial with the given coefficients.
 
         Horner from the leading coefficient on the log tables, with XOR as
-        the addition in characteristic 2; 0 has a logarithm, so x = 0 and a
-        zero accumulator need no branch.  The zero polynomial is 0 everywhere.
+        the addition in characteristic 2 and the Zech rule of ``add``, inline,
+        in odd characteristic; 0 has a logarithm, so x = 0, a zero
+        coefficient and a zero accumulator need no branch.  The zero
+        polynomial is 0 everywhere.
         """
-        log, exp2, add = self.log, self.exp2, self.add
+        log, exp2 = self.log, self.exp2
         lead, *rest = coeffs[::-1] or (0,)
         out = []
         if self.p == 2:
@@ -387,10 +392,13 @@ class FiniteField:
                     acc = exp2[log[acc] + lx] ^ c
                 out.append(acc)
         else:
+            zech, two_n = self.zech, 2 * (self.q - 1)
+            rest = [log[c] + two_n for c in rest]
             for x in xs:
                 lx, acc = log[x], lead
-                for c in rest:
-                    acc = add(exp2[log[acc] + lx], c)
+                for c2 in rest:  # acc x + c by the Zech rule of add
+                    lt = log[exp2[log[acc] + lx]]
+                    acc = exp2[lt + zech[c2 - lt]]
                 out.append(acc)
         return out
 

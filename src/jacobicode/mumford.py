@@ -38,7 +38,7 @@ identity.  The image is the theta set, the degree <= 1 classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
@@ -544,8 +544,8 @@ def _reduced_divisors(curve: CurveModel) -> list[MumfordDivisor]:
     esub = E.sub
     esolve = E.quadratic_roots
     xs = emb.frobenius_pairs
-    for (lx, u, lw), hx, fx in zip(frobenius, E.values(emb.map_poly(h), xs),
-                                   E.values(emb.map_poly(f), xs)):
+    hxs = E.values(emb.map_poly(h), xs) if h else repeat(0)  # h = () in odd characteristic
+    for (lx, u, lw), hx, fx in zip(frobenius, hxs, E.values(emb.map_poly(f), xs)):
         for y in esolve(hx, fx):
             d = esub(y, eexp2[elog[y] * q % en]) if y else 0  # y^q: an index mod en needs y != 0
             v1 = eexp2[elog[d] + lw]

@@ -220,6 +220,7 @@ class TestSearch:
         ("--q 3 --r 3 --format csv", "2c54594c793e5fe8"),
         ("--q 2 --r 3,4 --random --trials 3000 --seed 5 --parallel 2 --format text",
          "1ecc12e34116baa6"),
+        ("--q 49 --r 3 --random --trials 300 --seed 1 --format csv", "238f4adcde7fec22"),
     ])
     def test_output_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "table"

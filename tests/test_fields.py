@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import tracemalloc
 from random import Random
 
 import pytest
@@ -27,9 +28,10 @@ from conftest import power
 
 BUILTIN_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
               32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
-# every p^a <= 1024 with p odd and a >= 2: the fields with a q x q addition table
+# every p^a <= 1024 with p odd and a >= 2, then F_49^2, F_81^2 and F_121^2:
+# odd extension fields add by Zech logarithms at every size
 ODD_EXTENSION_QS = [9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 343, 361, 529,
-                    625, 729, 841, 961]
+                    625, 729, 841, 961, 2401, 6561, 14641]
 
 
 def builtin_field(q: int) -> FiniteField:
@@ -214,9 +216,10 @@ class TestArithmetic:
     def test_addition_is_digitwise_on_the_encoding(self, q):
         """add, neg and sub against coordinatewise arithmetic mod p.
 
-        The axioms alone would pass a table that relabels the elements; this
-        pins the wire encoding.  Every row for q <= 243, else the rows of
-        each c * p^i, of q - 1 and of 64 seeded x.
+        The axioms alone would pass a rule that relabels the elements; this
+        pins the wire encoding.  Every row for q <= 243, else the rows of 0,
+        of each c * p^i, of q - 1 and of 64 seeded x.  Above 1024 a row is
+        checked at 0, at -x (the zero sum) and at 256 seeded y.
         """
         F = builtin_field(q)
         p = F.p
@@ -228,26 +231,41 @@ class TestArithmetic:
 
         negs = [encode([(p - c) % p for c in cy]) for cy in digits]
         assert [F.neg(y) for y in range(q)] == negs
+        rng = Random(q)
         if q <= 243:
             rows = range(q)
         else:
-            rng = Random(q)
-            rows = sorted({c * w for w in weights for c in range(1, p)}
-                          | {q - 1} | {rng.randrange(q) for _ in range(64)})
+            rows = sorted({0, q - 1} | {c * w for w in weights for c in range(1, p)}
+                          | {rng.randrange(q) for _ in range(64)})
         for x in rows:
             cx = digits[x]
-            expected = [encode([(s + t) % p for s, t in zip(cx, cy)]) for cy in digits]
-            assert [F.add(x, y) for y in range(q)] == expected, x
-            assert [F.sub(x, y) for y in range(q)] == [expected[negs[y]] for y in range(q)], x
+            ys = range(q) if q <= 1024 else sorted(
+                {0, negs[x]} | {rng.randrange(q) for _ in range(256)})
+            expected = [encode([(s + t) % p for s, t in zip(cx, digits[y])]) for y in ys]
+            assert [F.add(x, y) for y in ys] == expected, x
+            assert [F.sub(x, negs[y]) for y in ys] == expected, x
+            assert F.add(x, negs[x]) == F.sub(x, x) == 0, x
+
+    def test_odd_extension_tables_are_linear_in_q(self):
+        """F_729 installs its ops in well under 1 MiB: no q x q table (4.5 MiB
+        as lists of ints), only tables of O(q) entries."""
+        F = FiniteField(3, 6)  # a fresh instance, outside make_field's cache
+        tracemalloc.start()
+        try:
+            assert F.add(1, 2) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("p,a,k", [(2, 1, 1), (2, 4, 1), (2, 3, 2), (5, 1, 1),
                                        (31, 1, 1), (3, 2, 1), (5, 3, 1), (7, 2, 2)],
                              ids=["q2", "q16", "q64", "q5", "q31", "q9", "q125", "q2401"])
     def test_values_matches_term_sum(self, p, a, k):
         """Horner on the log tables against sum c_i x^i, with x^i by repeated
-        products: char 2, prime, odd extensions with the q x q addition table
-        and above 1024 (F_2401 as F_49^2).  The zero polynomial, a zero
-        leading coefficient and x = 0 are always tried."""
+        products: char 2, prime and odd extension fields, F_2401 as F_49^2
+        included.  The zero polynomial, a zero leading coefficient and x = 0
+        are always tried."""
         F = extend_field(make_field(p, a), k).ext
         q = F.q
         rng = Random(q)

@@ -545,7 +545,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("q", [37, 49, 61, 64])
     def test_large_fields(self, q):
-        # odd q >= 37 has no addition table for F_{q^2}; 64 is the cap
+        # F_{q^2} has more than 1024 elements; 64 is the cap
         (curve,) = seeded_curves(q, 1, seed=5000 + q)
         group = enumerate_jacobian.__wrapped__(curve)  # raises on an order mismatch
         n1, n2 = count_points(curve, 1).count, count_points(curve, 2).count
